@@ -23,7 +23,7 @@
 
 #include <cstdio>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 
 int main() {
   using namespace gridlb;

@@ -28,7 +28,7 @@
 #include <fstream>
 
 #include "common/thread_pool.hpp"
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 #include "json_bench.hpp"
 
 namespace {

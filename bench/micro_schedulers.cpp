@@ -16,7 +16,7 @@
 
 #include <fstream>
 
-#include "core/gridlb.hpp"
+#include "gridlb.hpp"
 #include "json_bench.hpp"
 
 namespace {

@@ -63,6 +63,46 @@ agents::RetryPolicy effective_retry(const agents::SystemConfig& system) {
   return retry;
 }
 
+/// The one place a placement family edits the grid it runs on.  The straw
+/// map and the oracle both pick each request's resource up front, so the
+/// hierarchy's discovery walk and advertisement pulls would be dead
+/// weight: turn them off and let the chosen agent execute each request
+/// locally.  The oracle also bypasses the network (submissions go straight
+/// to the schedulers), so the fault machinery has nothing to act on, and
+/// it reads every scheduler's live freetime, which only a single-queue
+/// simulation can order: it runs on one shard whatever `sim_shards` says,
+/// which makes its numbers trivially shard-count invariant.
+ExperimentConfig normalised(ExperimentConfig config) {
+  if (config.placement == PlacementFamily::kAgentDiscovery) return config;
+  config.system.discovery_enabled = false;
+  config.system.pull_period = 0.0;
+  if (config.placement == PlacementFamily::kCentralOracle) {
+    config.system.fault = {};
+    config.system.fault_tolerance = {};
+    config.system.agent_churn = {};
+    config.system.sim_shards = 1;
+  }
+  return config;
+}
+
+/// Fastest predicted execution of `app` on one resource, and the smallest
+/// node count that achieves it.
+struct FastestFit {
+  double exec = std::numeric_limits<double>::infinity();
+  int nodes = 1;
+};
+
+FastestFit fastest_fit(pace::CachedEvaluator& evaluator,
+                       const pace::ApplicationModel& app,
+                       const sched::LocalScheduler::Config& resource) {
+  FastestFit best;
+  for (int k = 1; k <= resource.node_count; ++k) {
+    const double exec = evaluator.evaluate(app, resource.resource, k);
+    if (exec < best.exec) best = {exec, k};
+  }
+  return best;
+}
+
 /// End-of-run registry population.  Histograms fill live during the run
 /// (queue depth, hops, staleness, GA convergence); the counters and
 /// gauges below come from the authoritative per-subsystem statistics so
@@ -267,18 +307,27 @@ ExperimentConfig experiment3() {
   return config;
 }
 
-namespace {
+std::string placement_family_name(PlacementFamily family) {
+  switch (family) {
+    case PlacementFamily::kAgentDiscovery: return "agent";
+    case PlacementFamily::kCentralOracle: return "central";
+    case PlacementFamily::kHashPlacement: return "crush";
+  }
+  GRIDLB_REQUIRE(false, "unknown placement family");
+}
 
-/// The agent-path run, covering families kAgentDiscovery and
-/// kHashPlacement.  For the former this is byte-for-byte the historical
-/// run_experiment.  For the latter the dispatcher has already cooled the
-/// hierarchy (discovery and pulls off), and the portal routes every
-/// submission through the straw map built below instead of the
-/// workload's nominated entry agent — everything downstream (reliable
-/// links, faults, churn, engine sharding) applies unchanged.
-ExperimentResult run_agent_impl(const ExperimentConfig& config) {
-  GRIDLB_REQUIRE(!config.system.resources.empty(),
+PlacementFamily placement_family_from_name(const std::string& name) {
+  if (name == "agent") return PlacementFamily::kAgentDiscovery;
+  if (name == "central") return PlacementFamily::kCentralOracle;
+  if (name == "crush") return PlacementFamily::kHashPlacement;
+  GRIDLB_REQUIRE(false, "unknown placement family: " + name +
+                            " (expected agent, central or crush)");
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& requested) {
+  GRIDLB_REQUIRE(!requested.system.resources.empty(),
                  "experiment needs resources");
+  const ExperimentConfig config = normalised(requested);
 
   ObsScope obs_scope(config);
   const std::size_t shards = resolve_sim_shards(config);
@@ -312,10 +361,9 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
   // shard and mutates only inside submission events — a strictly ordered,
   // single-shard sequence — so every placement (and therefore the whole
   // run) is identical at any shard count.
-  const bool hashed = config.placement == PlacementFamily::kHashPlacement;
   std::optional<sched::HashPlacement> placement;
   std::uint64_t placement_decisions = 0;
-  if (hashed) {
+  if (config.placement == PlacementFamily::kHashPlacement) {
     sched::HashPlacement::Config placement_config;
     placement_config.seed = config.placement_seed;
     placement_config.load_tau = config.placement_load_tau;
@@ -344,23 +392,67 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
       GRIDLB_REQUIRE(app != nullptr, "unknown application: " + app_name);
       it->second.reserve(system.size());
       for (std::size_t i = 0; i < system.size(); ++i) {
-        const agents::ResourceSpec& spec = config.system.resources[i];
-        const pace::ResourceModel model =
-            pace::ResourceModel::of(spec.hardware);
-        double best_exec = std::numeric_limits<double>::infinity();
-        int best_k = 1;
-        for (int k = 1; k <= spec.node_count; ++k) {
-          const double exec = system.evaluator().evaluate(*app, model, k);
-          if (exec < best_exec) {
-            best_exec = exec;
-            best_k = k;
-          }
-        }
-        it->second.push_back(best_exec * static_cast<double>(best_k) /
-                             static_cast<double>(spec.node_count));
+        const sched::LocalScheduler::Config& resource =
+            system.agent(i).scheduler().config();
+        const FastestFit fit = fastest_fit(system.evaluator(), *app, resource);
+        it->second.push_back(fit.exec * static_cast<double>(fit.nodes) /
+                             static_cast<double>(resource.node_count));
       }
     }
     return it->second[index];
+  };
+  // One straw draw: the key is the workload ordinal — stable across shard
+  // counts and equal to the TaskId the portal is about to assign minus one
+  // (submissions execute in workload order).
+  const auto hashed_target = [&](std::size_t idx, const std::string& app_name,
+                                 SimTime now) -> std::size_t {
+    const sched::PlacementDecision decision = placement->place(idx, now);
+    placement->record_dispatch(decision.index, now,
+                               occupancy_of(app_name, decision.index));
+    ++placement_decisions;
+    obs::emit({.at = now,
+               .kind = obs::EventKind::kPlacementDecision,
+               .extra = static_cast<std::uint32_t>(decision.index),
+               .task = idx + 1,
+               .resource = decision.resource.value(),
+               .a = decision.draw,
+               .b = placement->targets()[decision.index].weight});
+    if (auto* reg = obs::registry()) {
+      reg->counter("placement.decisions").add(1);
+    }
+    return decision.index;
+  };
+
+  // Omniscient eq. 10 (kCentralOracle only): live freetime, no
+  // advertisement staleness, no messages — the task goes straight onto the
+  // best scheduler under the oracle's own task ids.  Its evaluator is its
+  // own, so `result.cache` keeps describing the grid's prediction traffic.
+  pace::EvaluationEngine oracle_engine;
+  pace::CachedEvaluator oracle(oracle_engine);
+  std::uint64_t oracle_tasks = 0;
+  const auto submit_central = [&](const std::string& app_name, SimTime now,
+                                  SimTime deadline) {
+    const pace::ApplicationModelPtr app = catalogue.find(app_name);
+    GRIDLB_REQUIRE(app != nullptr, "unknown application: " + app_name);
+    std::size_t best = 0;
+    double best_eta = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < system.size(); ++i) {
+      const sched::LocalScheduler& scheduler = system.agent(i).scheduler();
+      const double backlog = std::max(0.0, scheduler.freetime() - now);
+      const double eta =
+          backlog + fastest_fit(oracle, *app, scheduler.config()).exec;
+      if (eta < best_eta) {
+        best_eta = eta;
+        best = i;
+      }
+    }
+    sched::Task task;
+    task.id = TaskId(++oracle_tasks);
+    task.app = app;
+    task.arrival = now;
+    task.deadline = deadline;
+    collector.on_submission(now);
+    system.agent(best).scheduler().submit(std::move(task));
   };
 
   const std::vector<RequestSpec> workload = generate_workload(
@@ -376,35 +468,23 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
       break;
     }
     ++scheduled;
-    if (!hashed) {
-      portal_engine.schedule_at(spec.at, [&, spec]() {
-        portal.submit(system.agent(static_cast<std::size_t>(spec.agent_index)),
-                      spec.app_name,
-                      portal_engine.now() + spec.deadline_offset);
-      });
-      continue;
-    }
     portal_engine.schedule_at(spec.at, [&, spec, idx]() {
-      // The straw key is the workload ordinal — stable across shard
-      // counts and equal to the TaskId the portal is about to assign
-      // minus one (submissions execute in workload order).
       const SimTime now = portal_engine.now();
-      const sched::PlacementDecision decision = placement->place(idx, now);
-      placement->record_dispatch(decision.index, now,
-                                 occupancy_of(spec.app_name, decision.index));
-      ++placement_decisions;
-      obs::emit({.at = now,
-                 .kind = obs::EventKind::kPlacementDecision,
-                 .extra = static_cast<std::uint32_t>(decision.index),
-                 .task = idx + 1,
-                 .resource = decision.resource.value(),
-                 .a = decision.draw,
-                 .b = placement->targets()[decision.index].weight});
-      if (auto* reg = obs::registry()) {
-        reg->counter("placement.decisions").add(1);
+      const SimTime deadline = now + spec.deadline_offset;
+      switch (config.placement) {
+        case PlacementFamily::kAgentDiscovery:
+          portal.submit(
+              system.agent(static_cast<std::size_t>(spec.agent_index)),
+              spec.app_name, deadline);
+          return;
+        case PlacementFamily::kHashPlacement:
+          portal.submit(system.agent(hashed_target(idx, spec.app_name, now)),
+                        spec.app_name, deadline);
+          return;
+        case PlacementFamily::kCentralOracle:
+          submit_central(spec.app_name, now, deadline);
+          return;
       }
-      portal.submit(system.agent(decision.index), spec.app_name,
-                    now + spec.deadline_offset);
     });
   }
 
@@ -510,184 +590,6 @@ ExperimentResult run_agent_impl(const ExperimentConfig& config) {
   fill_flow_stats(result);
   obs_scope.finish(result, system);
   return result;
-}
-
-/// The oracle-path run (family kCentralOracle).
-ExperimentResult run_central_impl(const ExperimentConfig& config) {
-  GRIDLB_REQUIRE(!config.system.resources.empty(),
-                 "experiment needs resources");
-
-  ObsScope obs_scope(config);
-  // The oracle reads every scheduler's live freetime directly, which only
-  // a single-queue simulation can order; `sim_shards` is ignored here, so
-  // the oracle's numbers are trivially shard-count invariant.
-  sim::Engine engine;
-  metrics::MetricsCollector collector;
-  const pace::ApplicationCatalogue catalogue = pace::paper_catalogue();
-
-  agents::SystemConfig system_config = config.system;
-  system_config.discovery_enabled = false;  // agents stay out of the way
-  system_config.pull_period = 0.0;
-  // The oracle bypasses the network entirely (submissions go straight to
-  // the schedulers), so the fault machinery has nothing to act on.
-  system_config.fault = {};
-  system_config.fault_tolerance = {};
-  system_config.agent_churn = {};
-  agents::AgentSystem system(engine, catalogue, std::move(system_config),
-                             &collector);
-  system.start();
-
-  pace::EvaluationEngine oracle_engine;
-  pace::CachedEvaluator oracle(oracle_engine);
-  std::uint64_t next_task = 0;
-
-  const auto dispatch = [&](const std::string& app_name, SimTime deadline) {
-    const pace::ApplicationModelPtr app = catalogue.find(app_name);
-    GRIDLB_REQUIRE(app != nullptr, "unknown application: " + app_name);
-    // Omniscient eq. 10: live freetime, no advertisement staleness.
-    std::size_t best = 0;
-    double best_eta = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < system.size(); ++i) {
-      const sched::LocalScheduler& scheduler = system.agent(i).scheduler();
-      const double backlog =
-          std::max(0.0, scheduler.freetime() - engine.now());
-      double best_exec = std::numeric_limits<double>::infinity();
-      for (int k = 1; k <= scheduler.config().node_count; ++k) {
-        best_exec = std::min(
-            best_exec,
-            oracle.evaluate(*app, scheduler.config().resource, k));
-      }
-      const double eta = backlog + best_exec;
-      if (eta < best_eta) {
-        best_eta = eta;
-        best = i;
-      }
-    }
-    sched::Task task;
-    task.id = TaskId(++next_task);
-    task.app = app;
-    task.arrival = engine.now();
-    task.deadline = deadline;
-    collector.on_submission(engine.now());
-    system.agent(best).scheduler().submit(std::move(task));
-  };
-
-  const std::vector<RequestSpec> workload = generate_workload(
-      config.workload, catalogue, static_cast<int>(system.size()));
-  const SimTime duration = config.duration;
-  const bool open_loop = duration > 0.0;
-  std::uint64_t scheduled = 0;
-  for (const RequestSpec& spec : workload) {
-    if (open_loop && spec.at >= duration) break;  // time-sorted suffix
-    ++scheduled;
-    engine.schedule_at(spec.at, [&, spec]() {
-      dispatch(spec.app_name, engine.now() + spec.deadline_offset);
-    });
-  }
-
-  const std::uint64_t expected = scheduled;
-
-  std::shared_ptr<std::uint64_t> sampler_ticks;
-  if (obs::Sampler* sampler = obs_scope.sampler()) {
-    if (auto* reg = obs::registry()) {
-      reg->gauge("grid.agents").set(static_cast<double>(system.size()));
-      reg->gauge("grid.total_nodes")
-          .set(static_cast<double>(total_grid_nodes(config.system)));
-    }
-    const double interval = std::max(config.obs.effective_interval(),
-                                     config.system.network_latency);
-    sampler_ticks = schedule_sampler_ticks(
-        engine, *sampler, interval, config.obs.progress, expected,
-        [&collector]() { return collector.completed_tasks(); });
-  }
-
-  while (collector.completed_tasks() < expected) {
-    if (open_loop && engine.next_event_time() >= duration) break;
-    GRIDLB_REQUIRE(engine.step(), "event queue drained with tasks missing");
-    GRIDLB_REQUIRE(engine.now() <= config.horizon_limit,
-                   "experiment exceeded the horizon limit");
-  }
-
-  ExperimentResult result;
-  result.name = config.name;
-  result.report = collector.report(
-      open_loop ? std::optional<SimTime>(duration) : std::nullopt);
-  result.completions = collector.records();
-  result.requests_submitted = expected;
-  result.tasks_completed = collector.completed_tasks();
-  result.finished_at = engine.now();
-  result.sim_events = engine.events_processed() -
-                      (sampler_ticks != nullptr ? *sampler_ticks : 0);
-  result.events_swept = engine.events_swept();
-  result.network_messages = system.network().total_messages();
-  result.network_bytes = system.network().total_bytes();
-  result.cache = system.evaluator().stats();
-  for (std::size_t i = 0; i < system.size(); ++i) {
-    result.agent_stats.push_back(system.agent(i).stats());
-    result.ga_decodes += system.agent(i).scheduler().ga_decodes();
-    result.ga_memo_hits += system.agent(i).scheduler().ga_memo_hits();
-    result.ga_delta_evals += system.agent(i).scheduler().ga_delta_evals();
-    result.ga_full_evals += system.agent(i).scheduler().ga_full_evals();
-    result.ga_eval_threads = std::max(
-        result.ga_eval_threads, system.agent(i).scheduler().ga_eval_threads());
-    result.fifo_subsets += system.agent(i).scheduler().fifo_subsets_tried();
-    result.table_reads += system.agent(i).scheduler().prediction_table_reads();
-  }
-  result.cache.hits += result.table_reads;
-  fill_flow_stats(result);
-  obs_scope.finish(result, system);
-  return result;
-}
-
-}  // namespace
-
-std::string placement_family_name(PlacementFamily family) {
-  switch (family) {
-    case PlacementFamily::kAgentDiscovery: return "agent";
-    case PlacementFamily::kCentralOracle: return "central";
-    case PlacementFamily::kHashPlacement: return "crush";
-  }
-  GRIDLB_REQUIRE(false, "unknown placement family");
-}
-
-PlacementFamily placement_family_from_name(const std::string& name) {
-  if (name == "agent" || name == "discovery") {
-    return PlacementFamily::kAgentDiscovery;
-  }
-  if (name == "central" || name == "central-oracle" || name == "oracle") {
-    return PlacementFamily::kCentralOracle;
-  }
-  if (name == "crush" || name == "hash") {
-    return PlacementFamily::kHashPlacement;
-  }
-  GRIDLB_REQUIRE(false, "unknown placement family: " + name +
-                            " (expected agent, central or crush; deprecated "
-                            "aliases: discovery, central-oracle, oracle, "
-                            "hash)");
-}
-
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  switch (config.placement) {
-    case PlacementFamily::kCentralOracle:
-      return run_central_impl(config);
-    case PlacementFamily::kHashPlacement: {
-      // The straw map resolves every request up front, so the hierarchy's
-      // discovery walk and advertisement pulls would be dead weight: turn
-      // them off and let the hashed entry execute each request locally.
-      ExperimentConfig hashed = config;
-      hashed.system.discovery_enabled = false;
-      hashed.system.pull_period = 0.0;
-      return run_agent_impl(hashed);
-    }
-    case PlacementFamily::kAgentDiscovery: break;
-  }
-  return run_agent_impl(config);
-}
-
-ExperimentResult run_central_experiment(const ExperimentConfig& config) {
-  ExperimentConfig central = config;
-  central.placement = PlacementFamily::kCentralOracle;
-  return run_experiment(central);
 }
 
 std::string format_table3(const std::vector<ExperimentResult>& results) {

@@ -39,8 +39,7 @@ enum class PlacementFamily : std::uint8_t {
 /// Canonical CLI spelling: "agent" | "central" | "crush".
 [[nodiscard]] std::string placement_family_name(PlacementFamily family);
 
-/// Parses a placement family name.  Accepts the canonical spellings plus
-/// deprecated aliases ("central-oracle", "oracle", "discovery", "hash");
+/// Parses a placement family name: exactly "agent", "central" or "crush";
 /// anything else fails with a message listing the valid values.
 [[nodiscard]] PlacementFamily placement_family_from_name(
     const std::string& name);
@@ -53,7 +52,7 @@ struct ExperimentConfig {
   /// bench, and CLI flag without a mirror field here.
   agents::SystemConfig system;
   WorkloadConfig workload;
-  /// Placement family dispatched by run_experiment (DESIGN.md §15).
+  /// Where run_experiment routes each submission (DESIGN.md §15).
   PlacementFamily placement = PlacementFamily::kAgentDiscovery;
   /// Hash placement only: backlog-discount time constant τ in seconds for
   /// the portal's optimistic freetime snapshots (a target carrying b
@@ -148,28 +147,25 @@ struct ExperimentResult {
 };
 
 /// Runs one experiment to completion (all submitted tasks executed or
-/// dropped) and gathers every statistic.  Dispatches on
-/// `config.placement`:
-///   kAgentDiscovery — the paper's agent hierarchy, byte-for-byte the
-///       historical behaviour;
+/// dropped) and gathers every statistic.  Every family runs through the
+/// same runner; `config.placement` only decides where each submission
+/// goes:
+///   kAgentDiscovery — the paper's agent hierarchy: the portal submits at
+///       the workload's entry agent;
 ///   kCentralOracle  — an omniscient dispatcher that sees every
 ///       resource's live freetime with zero staleness and zero message
-///       cost and sends each request to the globally best estimate
+///       cost and puts each request on the globally best estimate
 ///       (eq. 10 over all resources).  This is the centralised
 ///       architecture the paper argues against; comparing it with
 ///       experiment 3 quantifies what neighbour-only discovery gives up
-///       for its decentralisation;
+///       for its decentralisation.  It runs without discovery, faults or
+///       agent churn, on one engine shard whatever `sim_shards` says;
 ///   kHashPlacement  — the stateless straw map of DESIGN.md §15: the
 ///       portal hashes each request straight onto a resource (zero
 ///       discovery traffic) and submits over the usual reliable link, so
 ///       loss, churn and fault tolerance apply unchanged.
 /// Local scheduling always uses `config.system.policy`.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
-
-/// Deprecated alias for run_experiment with placement = kCentralOracle;
-/// prefer setting `ExperimentConfig::placement` directly.
-[[nodiscard]] ExperimentResult run_central_experiment(
-    const ExperimentConfig& config);
 
 /// Formats results side by side in the layout of Table 3 (ε, υ, β columns
 /// per experiment, one row per resource plus the grid total).

@@ -65,7 +65,9 @@ TEST(ZeroFaultRegression, Experiment3MatchesPreFaultModel) {
 }
 
 TEST(ZeroFaultRegression, CentralOracleMatchesPreFaultModel) {
-  expect_pinned(run_central_experiment(scaled(experiment3(), 40)),
+  ExperimentConfig central = scaled(experiment3(), 40);
+  central.placement = PlacementFamily::kCentralOracle;
+  expect_pinned(run_experiment(central),
                 {47.200228217807592, 0.53040994623655902, 0.40738605647678783,
                  63.0, 0, 146, 40});
 }

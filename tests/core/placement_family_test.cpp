@@ -1,9 +1,10 @@
-// PlacementFamily dispatch (DESIGN.md §15): name parsing, the deprecated
-// run_central_experiment shim, and the hashed family's contracts — zero
-// discovery traffic, seed determinism, and shard-count invariance.
+// PlacementFamily dispatch (DESIGN.md §15): name parsing and the hashed
+// family's contracts — zero discovery traffic, seed determinism, and
+// shard-count invariance.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "common/assert.hpp"
 #include "core/experiment.hpp"
@@ -49,15 +50,24 @@ TEST(PlacementFamily, NamesRoundTrip) {
   }
 }
 
-TEST(PlacementFamily, DeprecatedAliasesParse) {
-  EXPECT_EQ(placement_family_from_name("discovery"),
-            PlacementFamily::kAgentDiscovery);
-  EXPECT_EQ(placement_family_from_name("central-oracle"),
-            PlacementFamily::kCentralOracle);
-  EXPECT_EQ(placement_family_from_name("oracle"),
-            PlacementFamily::kCentralOracle);
-  EXPECT_EQ(placement_family_from_name("hash"),
-            PlacementFamily::kHashPlacement);
+TEST(PlacementFamily, DeprecatedAliasesRejected) {
+  for (const std::string alias :
+       {"discovery", "central-oracle", "oracle", "hash"}) {
+    try {
+      (void)placement_family_from_name(alias);
+      ADD_FAILURE() << "alias accepted: " << alias;
+    } catch (const AssertionError& error) {
+      // The message names the input, then points the caller at every
+      // canonical spelling.
+      const std::string message = error.what();
+      const std::size_t at = message.find(alias);
+      ASSERT_NE(at, std::string::npos) << message;
+      const std::string advice = message.substr(at + alias.size());
+      for (const char* valid : {"agent", "central", "crush"}) {
+        EXPECT_NE(advice.find(valid), std::string::npos) << message;
+      }
+    }
+  }
 }
 
 TEST(PlacementFamily, UnknownNameFailsWithValidValues) {
@@ -69,16 +79,6 @@ TEST(PlacementFamily, UnknownNameFailsWithValidValues) {
     EXPECT_NE(std::string(error.what()).find("dht"), std::string::npos);
     EXPECT_NE(std::string(error.what()).find("crush"), std::string::npos);
   }
-}
-
-TEST(PlacementFamily, CentralShimMatchesUnifiedDispatch) {
-  ExperimentConfig config = experiment3();
-  config.name = "central";
-  config.workload.count = 40;
-  const ExperimentResult shimmed = run_central_experiment(config);
-  config.placement = PlacementFamily::kCentralOracle;
-  const ExperimentResult dispatched = run_experiment(config);
-  expect_identical(dispatched, shimmed);
 }
 
 TEST(PlacementFamily, CrushUsesZeroDiscoveryMessages) {

@@ -85,9 +85,28 @@ TEST(ShardInvariance, Experiment3MatchesClassicEngine) {
 TEST(ShardInvariance, CentralOracleIgnoresShardCount) {
   // The central oracle has no partitionable structure; sim_shards must be
   // a no-op there, keeping its pre-fault-model pin.
-  expect_pinned(run_central_experiment(scaled(experiment3(), 40, 4)),
-                {47.200228217807592, 0.53040994623655902, 0.40738605647678783,
-                 63.0, 0, 146, 40});
+  constexpr Pin kCentral{47.200228217807592, 0.53040994623655902,
+                         0.40738605647678783, 63.0, 0, 146, 40};
+  ExperimentConfig central = scaled(experiment3(), 40, 4);
+  central.placement = PlacementFamily::kCentralOracle;
+  const ExperimentResult plain = run_experiment(central);
+  expect_pinned(plain, kCentral);
+  EXPECT_EQ(plain.sim_shards, 1u);
+
+  // The oracle bypasses the network, so faults, fault tolerance and agent
+  // churn are normalised away with the shards: the run lands on the same
+  // zero-fault pin without sending a message.
+  central.system.fault.drop_prob = 0.05;
+  central.system.fault.seed = 11;
+  central.system.fault_tolerance.enabled = true;
+  central.system.agent_churn.enabled = true;
+  central.system.agent_churn.mtbf = 40.0;
+  central.system.agent_churn.mttr = 5.0;
+  central.system.agent_churn.horizon = 200.0;
+  const ExperimentResult faulted = run_experiment(central);
+  expect_pinned(faulted, kCentral);
+  EXPECT_EQ(faulted.sim_shards, 1u);
+  EXPECT_EQ(faulted.network_messages, 0u);
 }
 
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {

@@ -35,6 +35,9 @@ how the observability-overhead gate encodes "< 5% overhead": the
 plain/observed ratio sits near 1.0 by construction, so a relative
 tolerance alone would wave through a 20% slowdown.
 
+A report that is missing or is not a JSON object is malformed input:
+the gate prints one ERROR line naming the report and exits 2.
+
 --self-test fabricates pass/fail report pairs in a temp directory and
 asserts the exit codes; it is wired into ctest so the gate logic itself
 is under test.
@@ -49,11 +52,24 @@ TOLERANCE = 0.75  # fail below 75% of the committed ratio
 DEFAULT_KEY = "speedup_vs_full_decode"
 
 
-def load_report(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if "current" in doc:  # committed baselines wrap the bench output
-        doc = doc["current"]
+def load_report(name, path):
+    """Returns the report's bench object, or None after printing one
+    ERROR line naming the report when it is missing or malformed."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as error:
+        print(f"ERROR: {name} report {path} cannot be read: "
+              f"{error.strerror or error}")
+        return None
+    except ValueError as error:  # json.JSONDecodeError, bad encodings
+        print(f"ERROR: {name} report {path} is not valid JSON: {error}")
+        return None
+    if isinstance(doc, dict) and "current" in doc:
+        doc = doc["current"]  # committed baselines wrap the bench output
+    if not isinstance(doc, dict):
+        print(f"ERROR: {name} report {path} is not a JSON object")
+        return None
     return doc
 
 
@@ -67,8 +83,10 @@ def check_one(baseline_path, current_path, key):
         except ValueError:
             print(f"ERROR: malformed floor in '{key}@{floor_text}'")
             return 2
-    baseline = load_report(baseline_path)
-    current = load_report(current_path)
+    baseline = load_report("baseline", baseline_path)
+    current = load_report("current", current_path)
+    if baseline is None or current is None:
+        return 2
     for name, doc, path in (("baseline", baseline, baseline_path),
                             ("current", current, current_path)):
         if key not in doc:
@@ -149,6 +167,13 @@ def self_test():
         # 2.0 > 1.0 so current must stay above 1.0; 0.9 fails.
         expect("hard floor when baseline > 1", 1, base, floor)
         expect("missing key", 2, base, nokey, DEFAULT_KEY)
+        # An absent or corrupt baseline is malformed input, not a crash.
+        expect("missing baseline", 2,
+               os.path.join(tmp, "absent.json"), good, DEFAULT_KEY)
+        broken = os.path.join(tmp, "broken.json")
+        with open(broken, "w") as f:
+            f.write('{"current": {"speedup_vs_full_decode": ')
+        expect("malformed baseline", 2, broken, good, DEFAULT_KEY)
         expect("triple pass", 0, base, good, "speedup_vs_single_shard")
         # ~1.0 baseline imposes no floor: 0.8 >= 0.75*1.0 passes.
         expect("no floor at ~1.0 baseline", 0,

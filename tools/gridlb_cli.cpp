@@ -29,9 +29,9 @@
 //
 // Placement families (experiment and campaign commands, DESIGN.md §15):
 // --placement selects how requests are routed onto resources — agent
-// (the paper's hierarchy, default), central (omniscient oracle; aliases
-// central-oracle, oracle) or crush (stateless hashed straw map; alias
-// hash).  Orthogonal to --policy, which stays the *local* scheduler.
+// (the paper's hierarchy, default), central (omniscient oracle) or crush
+// (stateless hashed straw map).  Orthogonal to --policy, which stays the
+// *local* scheduler.
 //
 // Traffic shaping (campaign command, DESIGN.md §17): --arrival selects
 // the submission-timing process — uniform (default), poisson, onoff
@@ -74,8 +74,8 @@
 
 #include "common/flags.hpp"
 #include "common/log.hpp"
-#include "core/gridlb.hpp"
 #include "core/scenario.hpp"
+#include "gridlb.hpp"
 #include "metrics/time_series.hpp"
 #include "pace/model_parser.hpp"
 #include "report/csv.hpp"
