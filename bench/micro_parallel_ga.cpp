@@ -17,10 +17,9 @@
 // `--json <path>` additionally writes the machine-readable hot-path report
 // (steady_clock, independent of google-benchmark): on the 600-task
 // case-study workload, ns/decode for the legacy full decode, the forced
-// from-scratch evaluate, the incremental steady-state evaluate and the
-// uniform-span delta repair (DESIGN.md §16), GA decode/memo/table-read
-// and delta/full counters, cache traffic, peak RSS, and the derived
-// speedup_vs_full_decode and delta_speedup_vs_full_evaluate ratios that
+// from-scratch evaluate and the unchanged-genome evaluate (DESIGN.md §11),
+// GA decode/memo/table-read counters, cache traffic, peak RSS, and the
+// derived speedup_vs_full_decode ratio that
 // tools/ci/check_bench_regression.py gates on.
 
 #include <benchmark/benchmark.h>
@@ -200,8 +199,8 @@ void write_hotpath_report(const std::string& path) {
       kReps, kBatchSeconds);
 
   // From-scratch rebuild under a prepared context: evaluate_from with span
-  // 0 forces the full decode loop every iteration — the per-genome cost
-  // before incremental evaluation existed (DESIGN.md §16).
+  // 0 forces the full decode loop every iteration — the cost of every
+  // evaluation the GA actually performs.
   sched::DecodeContext context;
   sched::DecodeScratch scratch;
   builder.prepare(context, tasks, idle, 0.0, sched::full_mask(kNodes));
@@ -216,10 +215,9 @@ void write_hotpath_report(const std::string& path) {
       kReps, kBatchSeconds);
 
   // Hot path: context prepared once, metrics-only evaluate per individual.
-  // evaluate() is incremental — it diffs the genome against the scratch's
-  // recorded stream, so the steady state here (same genome every
-  // iteration) is the unchanged-genome fast path: one stream scan and the
-  // cached metrics.
+  // evaluate() diffs the genome against the scratch's recorded stream, so
+  // the steady state here (same genome every iteration) is the
+  // unchanged-genome short-circuit: one stream scan and the cached metrics.
   const double evaluate_ns = benchjson::measure_ns_per_op(
       [&](std::int64_t iters) {
         for (std::int64_t i = 0; i < iters; ++i) {
@@ -228,27 +226,6 @@ void write_hotpath_report(const std::string& path) {
         }
       },
       kReps, kBatchSeconds);
-
-  // Delta repair cost at uniformly distributed change positions: span p
-  // cycles over the whole schedule, so each iteration restores the
-  // checkpoint at or before p and replays the suffix — the same work a
-  // one-position genome change at p costs the GA (the front-weighted idle
-  // pass always re-runs in full; §16 explains why it cannot be split).
-  scratch.delta_evals = 0;
-  scratch.full_evals = 0;
-  std::uint64_t delta_pos = 0;
-  const double delta_evaluate_ns = benchjson::measure_ns_per_op(
-      [&](std::int64_t iters) {
-        for (std::int64_t i = 0; i < iters; ++i) {
-          const int span = static_cast<int>(delta_pos % kTasks);
-          ++delta_pos;
-          benchmark::DoNotOptimize(
-              builder.evaluate_from(context, solution, scratch, span));
-        }
-      },
-      kReps, kBatchSeconds);
-  const std::uint64_t sweep_delta_evals = scratch.delta_evals;
-  const std::uint64_t sweep_full_evals = scratch.full_evals;
 
   // Winner decode under the prepared context (runs once per GA call).
   const double context_decode_ns = benchjson::measure_ns_per_op(
@@ -274,7 +251,7 @@ void write_hotpath_report(const std::string& path) {
   benchjson::JsonWriter json(out);
   json.begin_object();
   json.field("bench", "micro_parallel_ga");
-  json.field("schema_version", 2);
+  json.field("schema_version", 3);
   json.begin_object("workload");
   json.field("tasks", kTasks);
   json.field("nodes", kNodes);
@@ -293,19 +270,10 @@ void write_hotpath_report(const std::string& path) {
   json.field("ns_per_evaluate", evaluate_ns);
   json.field("evaluates_per_second", 1e9 / evaluate_ns);
   json.end_object();
-  json.begin_object("delta_evaluate");
-  json.field("path", "evaluate_from, spans uniform over the schedule");
-  json.field("ns_per_evaluate", delta_evaluate_ns);
-  json.field("evaluates_per_second", 1e9 / delta_evaluate_ns);
-  json.field("delta_evals", sweep_delta_evals);
-  json.field("full_evals", sweep_full_evals);
-  json.end_object();
   json.begin_object("context_decode");
   json.field("ns_per_decode", context_decode_ns);
   json.end_object();
   json.field("speedup_vs_full_decode", full_decode_ns / evaluate_ns);
-  json.field("delta_speedup_vs_full_evaluate",
-             full_evaluate_ns / delta_evaluate_ns);
   json.begin_object("ga");
   json.field("population", config.population_size);
   json.field("generations", config.generations);
@@ -315,8 +283,6 @@ void write_hotpath_report(const std::string& path) {
   json.field("memo_hit_rate", static_cast<double>(ga.memo_hits) /
                                   static_cast<double>(ga_evaluations));
   json.field("table_reads", ga.table_reads);
-  json.field("delta_evals", ga.delta_evals);
-  json.field("full_evals", ga.full_evals);
   json.field("eval_threads", ga.eval_threads);
   json.end_object();
   json.begin_object("cache");

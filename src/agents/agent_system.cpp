@@ -78,10 +78,10 @@ void AgentSystem::build(const pace::ApplicationCatalogue& catalogue,
   completion_buffers_.resize(shards);
   if (collect_sharded_ && config_.ga.eval_threads != 1) {
     // One GA thread pool per scheduler does not scale to thousands of
-    // agents, and the PR-1 determinism contract makes eval_threads
-    // irrelevant to results — the shards themselves are the parallelism.
-    // Only an explicit >1 request deserves a warning; the auto default
-    // (0 = hardware concurrency) is normalized silently.
+    // agents, and the determinism contract (DESIGN.md §8) makes
+    // eval_threads irrelevant to results — the shards themselves are the
+    // parallelism.  Only an explicit >1 request deserves a warning;
+    // 0 (hardware concurrency) is normalized silently.
     if (config_.ga.eval_threads > 1) {
       log::warn("sharded run overrides ga.eval_threads=",
                 config_.ga.eval_threads, " to 1 (shards are the parallelism; ",

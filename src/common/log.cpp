@@ -49,12 +49,13 @@ void set_level(Level lvl) {
 }
 
 void write(Level lvl, const std::string& message) {
-  // Prefix every line with the published simulation time so interleaved
-  // narration from different subsystems stays sortable; "t=-" before the
-  // first engine event (or outside any simulation).
+  // Prefix every line with the simulation time of the writing thread's
+  // last event, so interleaved narration from different subsystems stays
+  // sortable and a shard's line never shows another shard's clock; "t=-"
+  // on a thread that has run no engine event.
   char stamp[32];
-  if (simclock::available()) {
-    std::snprintf(stamp, sizeof stamp, "t=%.3f", simclock::now());
+  if (const SimTime now = simclock::thread_now(); now >= 0.0) {
+    std::snprintf(stamp, sizeof stamp, "t=%.3f", now);
   } else {
     std::snprintf(stamp, sizeof stamp, "t=-");
   }

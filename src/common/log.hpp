@@ -4,8 +4,9 @@
 // GRIDLB_LOG environment variable: "debug" / "info" / "warn" / "off")
 // turns narration of scheduling and discovery decisions on or off — which
 // is invaluable when diagnosing a divergent experiment run.  Every line
-// carries the level and the current simulation time (`t=-` before the
-// first event), so interleaved narration stays sortable.
+// carries the level and the simulation time of the writing thread's last
+// event (`t=-` on a thread that has run none), so interleaved narration
+// stays sortable.
 #pragma once
 
 #include <sstream>

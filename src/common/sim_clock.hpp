@@ -4,9 +4,11 @@
 // virtual time, but two consumers outside the event loop need it: the
 // logger (to prefix narration with sim-time) and the trace recorder (PACE
 // cache events fire on thread-pool workers that have no engine reference).
-// The engine publishes its clock here with one relaxed store per event;
-// readers take one relaxed load.  The value is advisory — exact ordering
-// across threads is not required, only a usable timestamp.
+// The engine publishes its clock twice per event: once process-wide (one
+// relaxed store; advisory, any thread may read it) and once for the
+// executing thread.  Under a sharded engine every shard thread writes the
+// process-wide value, so a reader that must see its own shard's time —
+// the logger — takes the per-thread one.
 #pragma once
 
 #include <atomic>
@@ -21,11 +23,14 @@ inline std::atomic<SimTime>& storage() {
   static std::atomic<SimTime> time{kNoTime};
   return time;
 }
+/// The clock of the last event executed on this thread.
+inline thread_local SimTime tls_time = kNoTime;
 }  // namespace detail
 
 /// Called by the engine as its clock advances.
 inline void publish(SimTime now) {
   detail::storage().store(now, std::memory_order_relaxed);
+  detail::tls_time = now;
 }
 
 /// Last published virtual time, or kNoTime if no engine has run yet.
@@ -33,11 +38,16 @@ inline void publish(SimTime now) {
   return detail::storage().load(std::memory_order_relaxed);
 }
 
-/// True once an engine has published a clock value.
-[[nodiscard]] inline bool available() { return now() >= 0.0; }
+/// Last virtual time published on the calling thread, or kNoTime if no
+/// engine has run on it.
+[[nodiscard]] inline SimTime thread_now() { return detail::tls_time; }
 
-/// Returns the clock to the "no engine has run" state (used by tests).
-inline void reset() { detail::storage().store(kNoTime, std::memory_order_relaxed); }
+/// Returns the clock to the "no engine has run" state, process-wide and
+/// for the calling thread (used by tests).
+inline void reset() {
+  detail::storage().store(kNoTime, std::memory_order_relaxed);
+  detail::tls_time = kNoTime;
+}
 
 namespace detail {
 /// The shard whose event is executing on this thread, biased by +1 so 0

@@ -119,8 +119,10 @@ struct ExperimentResult {
   std::uint64_t table_reads = 0;
   std::uint64_t ga_decodes = 0;
   std::uint64_t ga_memo_hits = 0;  ///< evaluations skipped by genotype memo
-  /// Incremental vs from-scratch schedule evaluations (DESIGN.md §16);
+  /// Short-circuited vs rebuilt schedule evaluations (DESIGN.md §11);
   /// `ga_delta_evals + ga_full_evals == ga_decodes` under the GA policy.
+  /// The memo resolves every repeated genome first, so `ga_delta_evals`
+  /// reads 0; the split stays because the campaign benchmark reports it.
   std::uint64_t ga_delta_evals = 0;
   std::uint64_t ga_full_evals = 0;
   /// Resolved GA evaluate-phase thread count (max across schedulers; 1

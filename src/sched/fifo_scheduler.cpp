@@ -45,44 +45,55 @@ FifoPlacement FifoScheduler::place(const Task& task,
   const double* exec_row = table_.ensure_row(*evaluator_, *task.app);
   table_reads_ += static_cast<std::uint64_t>(node_count_);
 
-  FifoPlacement best;
+  // Width-by-width search, equal to enumerating all 2^n − 1 subsets:
+  // execution time depends only on the width k and a subset starts when
+  // its latest node comes free, so the earliest end for width k is s_k +
+  // exec_k, s_k being the k-th smallest free time among available nodes.
+  // The enumeration's winner is the lexicographic minimum of (exec, end,
+  // width, mask) for kMinExecution and of (end, width, mask) for
+  // kMinCompletion; widths differ across candidates, so the mask only
+  // matters within the winning width, where it is computed once.
+  std::array<SimTime, kMaxNodesPerResource> sorted{};
+  std::size_t usable = 0;
+  for_each_node(available, [&](int node) {
+    sorted[usable++] = free[static_cast<std::size_t>(node)];
+  });
+  std::sort(sorted.begin(),
+            sorted.begin() + static_cast<std::ptrdiff_t>(usable));
+
+  int best_k = 0;
   double best_exec = 0.0;
-  bool have_best = false;
-  const std::uint64_t all = full_mask(node_count_);
-  for (std::uint64_t raw = 1; raw <= all; ++raw) {
-    const auto mask = static_cast<NodeMask>(raw);
+  SimTime best_end = 0.0;
+  for (std::size_t k = 1; k <= usable; ++k) {
     ++subsets_tried_;
-    if ((mask & ~available) != 0) continue;  // touches a down node
-    SimTime start = now;
-    for_each_node(mask, [&](int node) {
-      start = std::max(start, free[static_cast<std::size_t>(node)]);
-    });
-    const double exec = exec_row[node_count(mask) - 1];
-    const SimTime end = start + exec;
-    bool better;
-    if (objective_ == FifoObjective::kMinExecution) {
-      // Execution time first; among equally-fast allocations take the one
-      // that can begin earliest.
-      better = !have_best || exec < best_exec ||
-               (exec == best_exec && end < best.end);
-    } else {
-      better = !have_best || end < best.end;
-    }
-    if (!better && have_best &&
-        ((objective_ == FifoObjective::kMinExecution &&
-          exec == best_exec && end == best.end) ||
-         (objective_ == FifoObjective::kMinCompletion && end == best.end))) {
-      // Deterministic tie-breaks: fewer nodes, then the lower mask.
-      better = node_count(mask) < node_count(best.mask) ||
-               (node_count(mask) == node_count(best.mask) && mask < best.mask);
-    }
+    const double exec = exec_row[k - 1];
+    const SimTime end = sorted[k - 1] + exec;
+    const bool better =
+        best_k == 0 ||
+        (objective_ == FifoObjective::kMinExecution
+             ? exec < best_exec || (exec == best_exec && end < best_end)
+             : end < best_end);
     if (better) {
-      have_best = true;
+      best_k = static_cast<int>(k);
       best_exec = exec;
-      best = FifoPlacement{mask, start, end};
+      best_end = end;
     }
   }
-  GRIDLB_ASSERT(have_best);
+  GRIDLB_ASSERT(best_k > 0);
+
+  // Lowest mask of the winning width: its k lowest-indexed nodes among
+  // those that still end at best_end.  That is every node free by s_k,
+  // plus any later one whose start rounds to the same end.
+  FifoPlacement best{0, now, best_end};
+  int taken = 0;
+  for_each_node(available, [&](int node) {
+    const SimTime free_at = free[static_cast<std::size_t>(node)];
+    if (taken == best_k || free_at + best_exec > best_end) return;
+    best.mask |= NodeMask{1} << node;
+    best.start = std::max(best.start, free_at);
+    ++taken;
+  });
+  GRIDLB_ASSERT(taken == best_k);
   return best;
 }
 

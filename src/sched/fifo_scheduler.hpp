@@ -7,9 +7,12 @@
 // solution is found, it is fixed and will not change as new tasks enter
 // the system."
 //
-// For each arriving task every non-empty node subset is enumerated against
-// the already-fixed schedule (the per-node free times).  Two readings of
-// "best" are supported:
+// For each arriving task the best of every non-empty node subset is chosen
+// against the already-fixed schedule (the per-node free times).  Nodes are
+// homogeneous, so the choice reduces to one candidate per width k — the k
+// earliest-free available nodes — and place() returns exactly the subset
+// the 2^n − 1 enumeration would pick, in O(n log n) (DESIGN.md §5).  Two
+// readings of "best" are supported:
 //
 //  * kMinExecution (default, used for experiment 1) — the subset with the
 //    smallest PACE-predicted execution time t_x wins; availability only
@@ -57,12 +60,13 @@ class FifoScheduler {
                                     SimTime now);
 
   /// As above with only the nodes in `available` usable (resource-monitor
-  /// view); subsets touching a down node are enumerated but never chosen.
+  /// view); subsets touching a down node are never chosen.
   [[nodiscard]] FifoPlacement place(const Task& task,
                                     std::span<const SimTime> node_free,
                                     SimTime now, NodeMask available);
 
-  /// Total subsets enumerated so far (2^n − 1 per placed task).
+  /// Candidate allocations costed so far: one per width, i.e. the number
+  /// of available nodes per placed task.
   [[nodiscard]] std::uint64_t subsets_tried() const { return subsets_tried_; }
   /// Prediction-table reads so far (one per processor count per placed
   /// task — the lock-free lookups that replace per-place cache queries).
@@ -74,9 +78,9 @@ class FifoScheduler {
   int node_count_;
   FifoObjective objective_;
   /// Per-scheduler prediction snapshot: rows build lazily as new
-  /// applications arrive and persist across place() calls, so the 2^n−1
-  /// subset sweep (and repeat arrivals of the same code) never touches
-  /// the evaluation cache's shard locks.
+  /// applications arrive and persist across place() calls, so the width
+  /// scan (and repeat arrivals of the same code) never touches the
+  /// evaluation cache's shard locks.
   pace::PredictionTable table_;
   std::uint64_t subsets_tried_ = 0;
   std::uint64_t table_reads_ = 0;

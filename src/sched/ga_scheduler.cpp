@@ -82,7 +82,6 @@ GaScheduler::GaScheduler(ScheduleBuilder& builder, GaConfig config,
   const int useful = std::min(threads, config_.population_size);
   if (useful > 1) pool_ = std::make_unique<ThreadPool>(useful);
   scratches_.resize(static_cast<std::size_t>(pool_ ? pool_->size() : 1));
-  decode_slots_.resize(scratches_.size());
 }
 
 void GaScheduler::sync_population(std::span<const Task> tasks) {
@@ -286,39 +285,22 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
   }
 
   const int n = config_.population_size;
-  const int m = static_cast<int>(tasks.size());
   costs_.assign(static_cast<std::size_t>(n), 0.0);
   metrics_.assign(static_cast<std::size_t>(n), ScheduleMetrics{});
   memo_.begin_run(static_cast<std::size_t>(n) *
                   static_cast<std::size_t>(config_.generations));
-  // Sync/constrain/seeding rewrote genomes above, so generation 0 has no
-  // usable lineage: every individual rebuilds fully.
-  parent_.assign(static_cast<std::size_t>(n), -1);
-  span_.assign(static_cast<std::size_t>(n), 0);
 
-  // Per-slot decode counters: chunks accumulate into their own slot and
-  // the main thread reduces after the join, so the count (and everything
-  // else in GaResult) is independent of thread scheduling.
-  decode_slots_.assign(scratches_.size(), 0);
-  const auto evaluate_chains = [&](int begin, int end, int slot) {
+  // The memo triage below has already removed every genome costed this
+  // run, so no evaluation can take the unchanged-genome short-circuit:
+  // each rebuilds from position 0 (span 0) without the stream diff scan.
+  const auto evaluate_items = [&](int begin, int end, int slot) {
     DecodeScratch& scratch = scratches_[static_cast<std::size_t>(slot)];
-    for (int c = begin; c < end; ++c) {
-      const int first = chain_bounds_[static_cast<std::size_t>(c)];
-      const int last = chain_bounds_[static_cast<std::size_t>(c) + 1];
-      for (int i = first; i < last; ++i) {
-        const EvalItem& item =
-            eval_list_[static_cast<std::size_t>(chain_order_[
-                static_cast<std::size_t>(i)])];
-        const auto k = static_cast<std::size_t>(item.index);
-        // The chain head rebuilds fully (the scratch may hold any earlier
-        // chain's stream); every later member agrees with the member
-        // before it on at least its own span, so its span is valid.
-        const int span = i == first ? 0 : item.span;
-        metrics_[k] =
-            builder_->evaluate_from(context_, population_[k], scratch, span);
-        costs_[k] = cost_value(metrics_[k], config_.weights);
-        ++decode_slots_[static_cast<std::size_t>(slot)];
-      }
+    for (int i = begin; i < end; ++i) {
+      const auto k = static_cast<std::size_t>(
+          eval_list_[static_cast<std::size_t>(i)].index);
+      metrics_[k] =
+          builder_->evaluate_from(context_, population_[k], scratch, 0);
+      costs_[k] = cost_value(metrics_[k], config_.weights);
     }
   };
 
@@ -351,56 +333,22 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
       if (rep >= 0) {
         fanout_.push_back(Fanout{k, rep});
       } else {
-        eval_list_.push_back(EvalItem{fp, k,
-                                      parent_[static_cast<std::size_t>(k)],
-                                      span_[static_cast<std::size_t>(k)]});
+        eval_list_.push_back(EvalItem{fp, k});
       }
     }
-
-    // Group the eval list into per-parent chains (DESIGN.md §16): genomes
-    // bred from the same previous-generation parent agree with its decoded
-    // stream up to their spans, so once the widest-span member has rebuilt
-    // the scratch, each later member's own span is valid against it.  The
-    // grouping depends only on population contents — never on thread
-    // count or scheduling — so the delta/full split is data-determined.
-    chain_order_.clear();
-    chain_bounds_.clear();
-    chain_taken_.assign(eval_list_.size(), 0);
-    for (std::size_t i = 0; i < eval_list_.size(); ++i) {
-      if (chain_taken_[i] != 0) continue;
-      const auto head = static_cast<std::ptrdiff_t>(chain_order_.size());
-      chain_bounds_.push_back(static_cast<int>(head));
-      chain_order_.push_back(static_cast<int>(i));
-      chain_taken_[i] = 1;
-      const int parent = eval_list_[i].parent;
-      if (parent < 0 || eval_list_[i].span <= 0) continue;
-      for (std::size_t j = i + 1; j < eval_list_.size(); ++j) {
-        if (chain_taken_[j] == 0 && eval_list_[j].parent == parent &&
-            eval_list_[j].span > 0) {
-          chain_order_.push_back(static_cast<int>(j));
-          chain_taken_[j] = 1;
-        }
-      }
-      std::stable_sort(chain_order_.begin() + head, chain_order_.end(),
-                       [this](int x, int y) {
-                         return eval_list_[static_cast<std::size_t>(x)].span >
-                                eval_list_[static_cast<std::size_t>(y)].span;
-                       });
-    }
-    chain_bounds_.push_back(static_cast<int>(chain_order_.size()));
 
     // Evaluate.  Only this phase runs on the pool: each individual's
     // metrics and cost are pure functions of its genome and the prepared
     // context, so the contents of `metrics_` and `costs_` do not depend
-    // on the interleaving.  Chains are the unit of distribution — a chain
-    // never splits across scratches.  Selection, crossover and mutation
-    // below stay on this thread and consume `rng_` in the serial order.
-    const int num_chains = static_cast<int>(chain_bounds_.size()) - 1;
-    if (pool_ && num_chains > 1) {
-      pool_->parallel_for(num_chains, evaluate_chains);
-    } else if (num_chains > 0) {
-      evaluate_chains(0, num_chains, 0);
+    // on the interleaving.  Selection, crossover and mutation below stay
+    // on this thread and consume `rng_` in the serial order.
+    const int num_items = static_cast<int>(eval_list_.size());
+    if (pool_ && num_items > 1) {
+      pool_->parallel_for(num_items, evaluate_items);
+    } else if (num_items > 0) {
+      evaluate_items(0, num_items, 0);
     }
+    result.decodes += eval_list_.size();
 
     // Publish results: new genotypes enter the memo (main thread, index
     // order) and duplicates copy their representative's result.
@@ -451,10 +399,6 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
                         });
       for (int e = 0; e < config_.elite; ++e) {
         const int src = by_cost[static_cast<std::size_t>(e)];
-        // Unchanged copy: full agreement with its source (span = m); the
-        // memo resolves elites before the chain stage ever sees them.
-        parent_[next.size()] = src;
-        span_[next.size()] = m;
         next.push_back(population_[static_cast<std::size_t>(src)]);
       }
     }
@@ -463,32 +407,20 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
           rng_.next_below(pool.size()))];
       const int b = pool[static_cast<std::size_t>(
           rng_.next_below(pool.size()))];
-      // Lineage for the delta path: the child agrees with parent `a` on
-      // every position before the min of its operators' dirty spans.
-      int span = m;
       SolutionString child;
       if (rng_.chance(config_.crossover_rate)) {
         child = population_[static_cast<std::size_t>(a)].crossover(
-            population_[static_cast<std::size_t>(b)], rng_, &span);
+            population_[static_cast<std::size_t>(b)], rng_);
       } else {
         child = population_[static_cast<std::size_t>(a)];
       }
-      const int mutate_span =
-          child.mutate(config_.order_swap_rate, config_.bit_flip_rate, rng_);
-      span = std::min(span, mutate_span);
-      if (constrained) {
-        span = std::min(span, child.constrain(available, rng_));
-      }
-      parent_[next.size()] = a;
-      span_[next.size()] = span;
+      child.mutate(config_.order_swap_rate, config_.bit_flip_rate, rng_);
+      if (constrained) child.constrain(available, rng_);
       next.push_back(std::move(child));
     }
     population_ = std::move(next);
   }
 
-  for (const std::uint64_t slot_decodes : decode_slots_) {
-    result.decodes += slot_decodes;
-  }
   // The one full decode of the run: placements for the winner only.
   result.schedule = builder_->decode(context_, result.best, scratches_[0]);
   ++result.decodes;

@@ -77,10 +77,12 @@ struct GaConfig {
   /// worse than FIFO.
   bool seed_heuristic = true;
   /// Threads for the evaluate phase (decode + cost of every individual).
-  /// 0 = hardware concurrency; 1 = the exact serial code path (no pool).
-  /// Results are bit-for-bit identical for every value — see DESIGN.md's
-  /// determinism contract.
-  int eval_threads = 0;
+  /// 1 (the default) = the exact serial code path, no pool; 0 = hardware
+  /// concurrency.  Results are bit-for-bit identical for every value — see
+  /// DESIGN.md's determinism contract.  Each scheduler owns its own pool,
+  /// so the default keeps a many-agent system from starting threads per
+  /// agent for the 3-task queues campaigns actually see.
+  int eval_threads = 1;
   CostWeights weights;
 };
 
@@ -97,16 +99,14 @@ struct GaResult {
   /// (cross-generation memo hits + within-generation duplicates).
   std::uint64_t memo_hits = 0;
   /// Prediction-table lookups this invocation — the lock-free reads that
-  /// replace per-task evaluation-cache lookups on the hot path.  Delta
-  /// evaluations only re-read their replayed suffix.
+  /// replace per-task evaluation-cache lookups on the hot path.
   std::uint64_t table_reads = 0;
-  /// Evaluations that restored a prefix checkpoint instead of rebuilding
-  /// from position 0 (DESIGN.md §16).  `delta_evals + full_evals ==
-  /// decodes` for non-empty task sets; both counts depend only on the
-  /// population contents, never on `eval_threads`.
+  /// Evaluations answered by the unchanged-genome short-circuit
+  /// (DESIGN.md §11).  The memo already resolves every genome costed this
+  /// run, so under the GA this stays 0 and `full_evals == decodes`;
+  /// `delta_evals + full_evals == decodes` for non-empty task sets.
   std::uint64_t delta_evals = 0;
-  /// Evaluations that rebuilt the schedule from position 0 (chain heads,
-  /// generation-0 individuals and the winner's final decode).
+  /// Evaluations that rebuilt the schedule from position 0.
   std::uint64_t full_evals = 0;
   /// Resolved evaluate-phase thread count that actually ran.
   int eval_threads = 1;
@@ -202,14 +202,10 @@ class GaScheduler {
   std::uint64_t total_full_evals_ = 0;
 
   // -- hot-path state, reused across invocations (DESIGN.md §11) ----------
-  /// One genome awaiting evaluation: its fingerprint, population index and
-  /// lineage (previous-generation parent index + dirty span vs that
-  /// parent, recorded at breeding time for the delta path of §16).
+  /// One genome awaiting evaluation: its fingerprint and population index.
   struct EvalItem {
     SolutionString::Fingerprint fp;
     int index = 0;
-    int parent = -1;
-    int span = 0;
   };
   /// A within-generation duplicate: copy `rep`'s result to `index`.
   struct Fanout {
@@ -224,20 +220,6 @@ class GaScheduler {
   std::vector<ScheduleMetrics> metrics_;
   std::vector<EvalItem> eval_list_;
   std::vector<Fanout> fanout_;
-  std::vector<std::uint64_t> decode_slots_;
-  /// Lineage of the current population: index of each individual's primary
-  /// parent in the previous generation (-1 = none) and the dirty span of
-  /// the operator chain that bred it (min over crossover/mutate/constrain).
-  std::vector<int> parent_;
-  std::vector<int> span_;
-  /// Evaluation chains: `chain_order_` permutes eval-list indices so that
-  /// same-parent genomes are adjacent, widest span first;
-  /// `chain_bounds_[c]..chain_bounds_[c+1]` delimit chain c.  Each chain
-  /// runs sequentially in one scratch — the head rebuilds fully, every
-  /// later member repairs from its own span.
-  std::vector<int> chain_order_;
-  std::vector<int> chain_bounds_;
-  std::vector<char> chain_taken_;
 };
 
 }  // namespace gridlb::sched

@@ -141,7 +141,7 @@ class LocalScheduler {
   [[nodiscard]] std::uint64_t ga_memo_hits() const {
     return ga_ ? ga_->total_memo_hits() : 0;
   }
-  /// Incremental vs full schedule evaluations (DESIGN.md §16);
+  /// Short-circuited vs rebuilt schedule evaluations (DESIGN.md §11);
   /// `ga_delta_evals() + ga_full_evals() == ga_decodes()`.
   [[nodiscard]] std::uint64_t ga_delta_evals() const {
     return ga_ ? ga_->total_delta_evals() : 0;

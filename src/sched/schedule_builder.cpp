@@ -9,8 +9,8 @@ namespace gridlb::sched {
 namespace {
 
 /// Global prepare() counter: every prepared context gets a unique epoch, so
-/// a scratch's recorded prefix can never be replayed against a context it
-/// was not built under (including a different context object that happens
+/// a scratch's recorded stream can never answer for a context it was not
+/// built under (including a different context object that happens
 /// to share the address).  Only equality is ever tested, so the ordering
 /// of concurrent prepares is irrelevant.
 std::atomic<std::uint64_t> g_decode_epoch{0};
@@ -67,32 +67,32 @@ void ScheduleBuilder::prepare(DecodeContext& context,
 ScheduleMetrics ScheduleBuilder::evaluate(const DecodeContext& context,
                                           const SolutionString& solution,
                                           DecodeScratch& scratch) const {
-  // Transparent delta path: diff the genome against the scratch's recorded
-  // (task, mask) stream.  The scan exits at the first difference, so a
-  // genome that diverges early costs one comparison before the rebuild.
-  int first_changed = 0;
+  // Diff the genome against the scratch's recorded (task, mask) stream.
+  // The scan exits at the first difference, so a genome that diverges
+  // early costs one comparison before the rebuild.
   const int task_count = context.task_count();
-  if (scratch.context_epoch == context.epoch() &&
-      scratch.done_count == task_count) {
-    first_changed = task_count;
+  bool unchanged = scratch.context_epoch == context.epoch() &&
+                   scratch.done_count == task_count;
+  if (unchanged) {
     const int* done_task = scratch.done_task.data();
     const NodeMask* done_mask = scratch.done_mask.data();
     for (int p = 0; p < task_count; ++p) {
       const int t = solution.task_at(p);
       if (done_task[p] != t || done_mask[p] != solution.mask_of(t)) {
-        first_changed = p;
+        unchanged = false;
         break;
       }
     }
   }
-  return run(context, solution, scratch, nullptr, first_changed);
+  return run(context, solution, scratch, nullptr, unchanged);
 }
 
 ScheduleMetrics ScheduleBuilder::evaluate_from(const DecodeContext& context,
                                                const SolutionString& solution,
                                                DecodeScratch& scratch,
                                                int first_changed) const {
-  return run(context, solution, scratch, nullptr, first_changed);
+  return run(context, solution, scratch, nullptr,
+             first_changed >= context.task_count());
 }
 
 DecodedSchedule ScheduleBuilder::decode(const DecodeContext& context,
@@ -101,7 +101,7 @@ DecodedSchedule ScheduleBuilder::decode(const DecodeContext& context,
   DecodedSchedule out;
   out.placements.resize(static_cast<std::size_t>(context.task_count()));
   static_cast<ScheduleMetrics&>(out) =
-      run(context, solution, scratch, out.placements.data(), 0);
+      run(context, solution, scratch, out.placements.data(), false);
   return out;
 }
 
@@ -129,7 +129,7 @@ ScheduleMetrics ScheduleBuilder::run(const DecodeContext& context,
                                      const SolutionString& solution,
                                      DecodeScratch& scratch,
                                      TaskPlacement* placements,
-                                     int first_changed) const {
+                                     bool unchanged) const {
   const int task_count = context.task_count();
   GRIDLB_REQUIRE(solution.task_count() == task_count,
                  "solution does not cover the prepared task set");
@@ -137,8 +137,18 @@ ScheduleMetrics ScheduleBuilder::run(const DecodeContext& context,
                  "solution node width mismatch");
 
   const SimTime now = context.now_;
-  constexpr int kStride = DecodeScratch::kCheckpointStride;
   const auto task_sz = static_cast<std::size_t>(task_count);
+
+  // The short-circuit is only sound when the recorded stream was built
+  // under this exact context for this exact task count; placements mode
+  // always rebuilds (the placements are not recorded).
+  if (unchanged && placements == nullptr && task_count > 0 &&
+      scratch.context_epoch == context.epoch_ &&
+      scratch.done_count == task_count) {
+    ++scratch.delta_evals;
+    return scratch.last_metrics;
+  }
+  ++scratch.full_evals;
 
   // Size every SoA buffer for this task set — no-ops once the scratch has
   // seen the run's largest task set, keeping steady-state evaluation
@@ -155,73 +165,13 @@ ScheduleMetrics ScheduleBuilder::run(const DecodeContext& context,
     scratch.done_task.resize(task_sz);
     scratch.done_mask.resize(task_sz);
   }
-  const std::size_t checkpoints =
-      task_count == 0 ? 0 : (task_sz - 1) / kStride + 1;
-  if (scratch.ck_completion.size() < checkpoints) {
-    scratch.ck_free.resize(checkpoints * kMaxNodesPerResource);
-    scratch.ck_completion.resize(checkpoints);
-    scratch.ck_mean_sum.resize(checkpoints);
-    scratch.ck_penalty.resize(checkpoints);
-    scratch.ck_misses.resize(checkpoints);
-    scratch.ck_gap_count.resize(checkpoints);
-  }
 
-  // A dirty span is only usable when the scratch's recorded prefix was
-  // built under this exact context for this exact task count; placements
-  // mode always rebuilds (a reused prefix would leave the prefix tasks'
-  // placements unwritten).
-  const bool prefix_valid =
-      placements == nullptr && first_changed > 0 && task_count > 0 &&
-      scratch.context_epoch == context.epoch_ &&
-      scratch.done_count == task_count;
-
-  if (prefix_valid && first_changed >= task_count) {
-    // Nothing changed: the previous metrics are this genome's metrics.
-    ++scratch.delta_evals;
-    return scratch.last_metrics;
-  }
-
-  SimTime completion;
-  double mean_sum;
-  double penalty;
-  int misses;
-  std::size_t ng;
-  int from;
-  if (prefix_valid) {
-    // Restore the decode state recorded just before position c*kStride,
-    // the nearest checkpoint at or before the first change; gap entries
-    // and the (task, mask) stream below the restore point are still valid
-    // from the previous evaluation of the identical prefix.
-    const auto c = static_cast<std::size_t>(first_changed / kStride);
-    std::copy_n(scratch.ck_free.data() + c * kMaxNodesPerResource,
-                kMaxNodesPerResource, scratch.free.data());
-    completion = scratch.ck_completion[c];
-    mean_sum = scratch.ck_mean_sum[c];
-    penalty = scratch.ck_penalty[c];
-    misses = scratch.ck_misses[c];
-    ng = scratch.ck_gap_count[c];
-    from = static_cast<int>(c) * kStride;
-    ++scratch.delta_evals;
-#ifndef NDEBUG
-    // The caller's span claim: the genome decodes identically to the
-    // recorded stream strictly before first_changed.
-    for (int p = 0; p < first_changed; ++p) {
-      const int t = solution.task_at(p);
-      GRIDLB_ASSERT(scratch.done_task[static_cast<std::size_t>(p)] == t &&
-                    scratch.done_mask[static_cast<std::size_t>(p)] ==
-                        solution.mask_of(t));
-    }
-#endif
-  } else {
-    scratch.free = context.base_free_;
-    completion = now;
-    mean_sum = 0.0;
-    penalty = 0.0;
-    misses = 0;
-    ng = 0;
-    from = 0;
-    ++scratch.full_evals;
-  }
+  scratch.free = context.base_free_;
+  SimTime completion = now;
+  double mean_sum = 0.0;
+  double penalty = 0.0;
+  int misses = 0;
+  std::size_t ng = 0;
 
   SimTime* free_times = scratch.free.data();
   SimTime* gap_start = scratch.gap_start.data();
@@ -229,18 +179,7 @@ ScheduleMetrics ScheduleBuilder::run(const DecodeContext& context,
   int* done_task = scratch.done_task.data();
   NodeMask* done_mask = scratch.done_mask.data();
 
-  for (int p = from; p < task_count; ++p) {
-    if (p % kStride == 0) {
-      const auto c = static_cast<std::size_t>(p / kStride);
-      std::copy_n(free_times, kMaxNodesPerResource,
-                  scratch.ck_free.data() + c * kMaxNodesPerResource);
-      scratch.ck_completion[c] = completion;
-      scratch.ck_mean_sum[c] = mean_sum;
-      scratch.ck_penalty[c] = penalty;
-      scratch.ck_misses[c] = misses;
-      scratch.ck_gap_count[c] = ng;
-    }
-
+  for (int p = 0; p < task_count; ++p) {
     const int t = solution.task_at(p);
     const NodeMask mask = solution.mask_of(t);
     done_task[p] = t;
@@ -307,10 +246,8 @@ ScheduleMetrics ScheduleBuilder::run(const DecodeContext& context,
   // scheduling window weighs 2×, one at the very end ~0×; the weights
   // integrate to 1 over the window so φ of a uniformly spread idle profile
   // equals the plain idle total.  This pass must stay bit-for-bit as is:
-  // the window normalisation couples every pocket to the makespan, so a
-  // delta evaluation re-weights all pockets (DESIGN.md §16 records the
-  // experiment: reassociating this sum flips GA selections and breaks the
-  // experiment pins).
+  // reassociating this sum flips GA selections and breaks the experiment
+  // pins (DESIGN.md §11).
   const double window = out.makespan;
   for (std::size_t i = 0; i < ng; ++i) {
     const double length = gap_length[i];

@@ -59,14 +59,11 @@ void SolutionString::repair_mask(int task, Rng& rng) {
   }
 }
 
-int SolutionString::constrain(NodeMask allowed, Rng& rng) {
+void SolutionString::constrain(NodeMask allowed, Rng& rng) {
   GRIDLB_REQUIRE(valid_mask(allowed, node_count_),
                  "allowed set must be a non-empty subset of the resource");
   const int width = ::gridlb::sched::node_count(allowed);
-  std::vector<char> changed(mapping_.size(), 0);
-  for (std::size_t t = 0; t < mapping_.size(); ++t) {
-    auto& mask = mapping_[t];
-    const NodeMask before = mask;
+  for (auto& mask : mapping_) {
     mask &= allowed;
     if (mask == 0) {
       // Pick a uniformly random allowed node.
@@ -76,32 +73,18 @@ int SolutionString::constrain(NodeMask allowed, Rng& rng) {
         if (pick-- == 0) mask = NodeMask{1} << node;
       });
     }
-    changed[t] = mask != before;
   }
   GRIDLB_ASSERT(valid());
-  return first_changed_position(changed);
 }
 
-// The ordering part is untouched by the caller, so the dirty span is the
-// first position whose task's mask changed.
-int SolutionString::first_changed_position(
-    const std::vector<char>& changed_task) const {
-  const int m = task_count();
-  for (int p = 0; p < m; ++p) {
-    if (changed_task[static_cast<std::size_t>(task_at(p))]) return p;
-  }
-  return m;
-}
-
-SolutionString SolutionString::crossover(const SolutionString& mate, Rng& rng,
-                                         int* first_changed) const {
+SolutionString SolutionString::crossover(const SolutionString& mate,
+                                         Rng& rng) const {
   GRIDLB_REQUIRE(task_count() == mate.task_count() &&
                      node_count_ == mate.node_count_,
                  "crossover parents must agree on task and node counts");
   const int m = task_count();
   SolutionString child;
   child.node_count_ = node_count_;
-  if (first_changed != nullptr) *first_changed = m;
   if (m == 0) return child;
 
   // --- ordering part: splice at a random cut, complete in mate order.
@@ -142,23 +125,6 @@ SolutionString SolutionString::crossover(const SolutionString& mate, Rng& rng,
     child.mapping_[static_cast<std::size_t>(t)] = mask;
     child.repair_mask(t, rng);
   }
-  if (first_changed != nullptr) {
-    // Dirty span vs `*this`: first position whose (task, mask) pair
-    // differs.  When the tasks agree, comparing that task's mask in both
-    // genomes compares the pair.  Direct comparison (rather than deriving
-    // the span from the cuts) also covers repairs and the bit-split mask.
-    int span = m;
-    for (int p = 0; p < m; ++p) {
-      const int t = order_[static_cast<std::size_t>(p)];
-      if (t != child.order_[static_cast<std::size_t>(p)] ||
-          mapping_[static_cast<std::size_t>(t)] !=
-              child.mapping_[static_cast<std::size_t>(t)]) {
-        span = p;
-        break;
-      }
-    }
-    *first_changed = span;
-  }
   return child;
 }
 
@@ -177,11 +143,10 @@ int SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
     std::swap(order_[a], order_[b]);
     span = static_cast<int>(a < b ? a : b);
   }
-  // Mapping part: independent random bit flips.  The flip loop stays in
-  // task-index order (the seeded draw sequence is pinned); the positional
-  // span is recovered afterwards from the per-task change flags.
-  std::vector<char> changed(static_cast<std::size_t>(m), 0);
-  bool any_mask_changed = false;
+  // Mapping part: independent random bit flips, in task-index order (the
+  // seeded draw sequence is pinned).  A changed mask lowers the span to its
+  // task's position; the search only covers positions below the current
+  // span, so it finds nothing when the task sits at or after it.
   for (int t = 0; t < m; ++t) {
     NodeMask& mask = mapping_[static_cast<std::size_t>(t)];
     const NodeMask before = mask;
@@ -191,12 +156,10 @@ int SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
       }
     }
     repair_mask(t, rng);
-    changed[static_cast<std::size_t>(t)] = mask != before;
-    any_mask_changed |= mask != before;
-  }
-  if (any_mask_changed) {
-    const int mask_span = first_changed_position(changed);
-    if (mask_span < span) span = mask_span;
+    if (mask != before) {
+      const auto first = order_.begin();
+      span = static_cast<int>(std::find(first, first + span, t) - first);
+    }
   }
   return span;
 }

@@ -56,30 +56,22 @@ class SolutionString {
   [[nodiscard]] bool valid() const;
 
   // -- genetic operators --------------------------------------------------
-  //
-  // Every operator reports its *dirty span*: the first schedule position p
-  // whose (task_at(p), mask_of(task_at(p))) pair differs from the genome
-  // before the operator ran (for crossover: from `*this` parent).  A
-  // schedule decode is a left-to-right fold over exactly those pairs, so
-  // positions before the span decode identically and
-  // ScheduleBuilder::evaluate_from can repair the schedule from a prefix
-  // checkpoint instead of re-simulating from task 0 (DESIGN.md §16).
-  // `task_count()` means "nothing changed".  Span computation consumes no
-  // randomness, so seeded runs are unaffected.
 
   /// Two-part crossover (paper §2.1): the ordering parts are spliced at a
   /// random cut — the child keeps this parent's prefix and completes it
   /// with the remaining tasks in the mate's relative order (guaranteeing a
   /// legal permutation).  The mapping parts, viewed in the child's task
   /// order, undergo a single-point binary crossover at a random bit; empty
-  /// allocations are repaired with a random node.  When `first_changed` is
-  /// non-null it receives the child's dirty span relative to `*this`.
-  [[nodiscard]] SolutionString crossover(const SolutionString& mate, Rng& rng,
-                                         int* first_changed = nullptr) const;
+  /// allocations are repaired with a random node.
+  [[nodiscard]] SolutionString crossover(const SolutionString& mate,
+                                         Rng& rng) const;
 
   /// Two-part mutation: a random transposition in the ordering part, and
   /// independent bit-flips (probability `bit_flip_rate`) in the mapping
-  /// part, with empty-allocation repair.  Returns the dirty span.
+  /// part, with empty-allocation repair.  Returns the first schedule
+  /// position whose (task, mask) pair changed, or task_count() when none
+  /// did — the value ScheduleBuilder::evaluate_from takes.  Computing it
+  /// consumes no randomness and allocates nothing.
   int mutate(double order_swap_rate, double bit_flip_rate, Rng& rng);
 
   /// Adapts the solution to a changed task set: `kept[t_old]` is the new
@@ -93,9 +85,8 @@ class SolutionString {
   /// Restricts every task's allocation to `allowed` (a non-empty subset of
   /// the resource's nodes), repairing emptied allocations with a random
   /// allowed node.  This is how the GA absorbs "changes in the number of
-  /// hosts or processors available in the local domain".  Returns the
-  /// dirty span.
-  int constrain(NodeMask allowed, Rng& rng);
+  /// hosts or processors available in the local domain".
+  void constrain(NodeMask allowed, Rng& rng);
 
   bool operator==(const SolutionString&) const = default;
 
@@ -114,11 +105,6 @@ class SolutionString {
 
  private:
   void repair_mask(int task, Rng& rng);
-  /// First position whose task is flagged in `changed_task` (task-indexed),
-  /// or task_count() when none is — the positional dirty span of an
-  /// operator that only edited masks.
-  [[nodiscard]] int first_changed_position(
-      const std::vector<char>& changed_task) const;
 
   std::vector<int> order_;        // position -> task index
   std::vector<NodeMask> mapping_;  // task index -> node mask

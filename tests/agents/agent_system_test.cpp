@@ -34,6 +34,20 @@ TEST_F(AgentSystemFixture, BuildsAgentsAndSchedulers) {
             pace::HardwareType::kSunUltra1);
 }
 
+TEST_F(AgentSystemFixture, DefaultConfigStartsNoEvalThreadPool) {
+  // Every GA scheduler owns its evaluate-phase pool, so the default must
+  // be the serial path: a resolved count of 1 means no pool was built.
+  AgentSystem system(engine, catalogue, two_level(), nullptr);
+  for (std::size_t i = 0; i < system.size(); ++i) {
+    EXPECT_EQ(system.agent(i).scheduler().ga_eval_threads(), 1) << i;
+  }
+  // The probe does see a pool when one is asked for.
+  SystemConfig threaded = two_level();
+  threaded.ga.eval_threads = 2;
+  AgentSystem pooled(engine, catalogue, std::move(threaded), nullptr);
+  EXPECT_EQ(pooled.agent(0).scheduler().ga_eval_threads(), 2);
+}
+
 TEST_F(AgentSystemFixture, AssignsSequentialAgentIds) {
   AgentSystem system(engine, catalogue, two_level(), nullptr);
   EXPECT_EQ(system.agent(0).id(), AgentId(1));

@@ -2,7 +2,10 @@
 // configuration of the full grid (portal → agents → schedulers → metrics).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "gridlb.hpp"
 #include "sched/node_mask.hpp"
@@ -16,6 +19,21 @@ struct Scenario {
   bool agents;
   double prediction_error;
 };
+
+// Named from the fields, never from the struct's raw bytes (padding
+// included), so test names are the same in every build type.  The name
+// doubles as the printed parameter in failure messages.
+std::string scenario_name(const Scenario& s) {
+  std::string name = "seed" + std::to_string(s.seed);
+  name += s.policy == sched::SchedulerPolicy::kGa ? "_ga" : "_fifo";
+  name += s.agents ? "_agents" : "_noagents";
+  const auto error_pct =
+      static_cast<int>(std::lround(s.prediction_error * 100.0));
+  if (error_pct != 0) name += "_err" + std::to_string(error_pct);
+  return name;
+}
+
+void PrintTo(const Scenario& s, std::ostream* os) { *os << scenario_name(s); }
 
 class SystemInvariants : public ::testing::TestWithParam<Scenario> {};
 
@@ -134,7 +152,10 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{7, sched::SchedulerPolicy::kFifo, false, 0.5},
         Scenario{8, sched::SchedulerPolicy::kGa, true, 0.0},
         Scenario{9, sched::SchedulerPolicy::kGa, false, 0.2},
-        Scenario{10, sched::SchedulerPolicy::kFifo, true, 0.0}));
+        Scenario{10, sched::SchedulerPolicy::kFifo, true, 0.0}),
+    [](const ::testing::TestParamInfo<Scenario>& param_info) {
+      return scenario_name(param_info.param);
+    });
 
 }  // namespace
 }  // namespace gridlb::core

@@ -116,6 +116,19 @@ TEST(AllocFree, SteadyStateEvaluationDoesNotAllocate) {
   EXPECT_GT(sink, 0.0);  // keep the loop observable
 }
 
+TEST(AllocFree, MutateReportsItsSpanWithoutAllocating) {
+  Rng rng(5);
+  auto solution = SolutionString::random(40, 16, rng);
+  long spans = 0;
+  g_allocations = 0;
+  g_counting = true;
+  for (int k = 0; k < 64; ++k) spans += solution.mutate(0.5, 0.05, rng);
+  g_counting = false;
+
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_LT(spans, 64L * 40);  // some mutation changed something
+}
+
 TEST(AllocFree, RepreparingSameShapeContextDoesNotAllocate) {
   pace::EvaluationEngine engine;
   pace::CachedEvaluator evaluator(engine);

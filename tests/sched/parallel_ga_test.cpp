@@ -47,8 +47,8 @@ struct ParallelGaFixture : ::testing::Test {
     EXPECT_EQ(serial.decodes, parallel.decodes);
     EXPECT_EQ(serial.memo_hits, parallel.memo_hits);
     EXPECT_EQ(serial.table_reads, parallel.table_reads);
-    // The delta/full split is data-determined (per-parent chains), so it
-    // too must not move with the thread count.
+    // The short-circuit/rebuild split must not move with the thread count
+    // either.
     EXPECT_EQ(serial.delta_evals, parallel.delta_evals);
     EXPECT_EQ(serial.full_evals, parallel.full_evals);
     EXPECT_EQ(serial.delta_evals + serial.full_evals, serial.decodes);

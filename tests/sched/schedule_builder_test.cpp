@@ -321,11 +321,10 @@ TEST_P(EvaluateEquivalence, MetricsOnlyEvaluateMatchesFullDecode) {
     EXPECT_EQ(metrics.mean_completion, full.mean_completion);
     EXPECT_EQ(metrics.deadline_misses, full.deadline_misses);
 
-    // evaluate_from at every possible span start: the genome trivially
-    // agrees with its own recorded stream, so every span must reproduce
-    // the full metrics bit-for-bit (span 0 = full rebuild, span m =
-    // answered from the cached metrics, everything between = checkpoint
-    // restore + suffix replay).
+    // evaluate_from at every possible change position: the genome is the
+    // recorded one, so every value must reproduce the full metrics
+    // bit-for-bit (m = answered from the cached metrics, anything lower =
+    // rebuild from position 0).
     for (int s = 0; s <= m; ++s) {
       const ScheduleMetrics delta =
           builder.evaluate_from(context, solution, scratch, s);

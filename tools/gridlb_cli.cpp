@@ -272,7 +272,7 @@ core::ExperimentConfig campaign_config(const Flags& flags) {
   config.placement = core::placement_family_from_name(
       flags.get("placement", core::placement_family_name(config.placement)));
   config.system.discovery_enabled = flags.get_bool("agents", true);
-  config.system.ga.eval_threads = flags.get_int("eval-threads", 0);
+  config.system.ga.eval_threads = flags.get_int("eval-threads", 1);
   GRIDLB_REQUIRE(config.system.ga.eval_threads >= 0,
                  "--eval-threads must be >= 0 (0 = hardware concurrency)");
   config.system.sim_shards = flags.get_int("sim-shards", 1);
@@ -317,7 +317,7 @@ int cmd_experiment(const Flags& flags) {
     config.workload.count = flags.get_int("requests", 600);
     config.workload.seed =
         static_cast<std::uint64_t>(flags.get_int("seed", 2003));
-    config.system.ga.eval_threads = flags.get_int("eval-threads", 0);
+    config.system.ga.eval_threads = flags.get_int("eval-threads", 1);
     config.system.sim_shards = flags.get_int("sim-shards", 1);
     config.placement = core::placement_family_from_name(
         flags.get("placement", core::placement_family_name(config.placement)));
@@ -474,7 +474,8 @@ Flags make_flags() {
   flags.declare("seed", "S", "workload seed");
   flags.declare("policy", "ga|fifo", "local scheduling policy");
   flags.declare("eval-threads", "N",
-                "GA evaluate-phase threads (0 = hardware concurrency)");
+                "GA evaluate-phase threads per scheduler (default 1 = "
+                "serial; 0 = hardware concurrency)");
   flags.declare("sim-shards", "N",
                 "engine shards (1 = classic, 0 = hardware concurrency)");
   flags.declare("placement", "agent|central|crush",
