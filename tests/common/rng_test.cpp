@@ -19,6 +19,32 @@ TEST(Rng, SameSeedSameSequence) {
   }
 }
 
+// Pins the stream itself: every seeded result in the repository (the
+// experiment pins included) depends on these exact outputs, so any change
+// to the generator or its distributions must leave them untouched.
+TEST(Rng, GoldenStreamForSeed42) {
+  Rng rng(42);
+  const std::uint64_t raw[] = {
+      0x15780B2E0C2EC716ULL, 0x6104D9866D113A7EULL, 0xAE17533239E499A1ULL,
+      0xECB8AD4703B360A1ULL, 0xFDE6DC7FE2EC5E64ULL, 0xC50DA53101795238ULL,
+      0xB82154855A65DDB2ULL, 0xD99A2743EBE60087ULL, 0xC2E96E726E97647EULL,
+      0x9556615F775FBC3DULL, 0xAEB53B340C103971ULL, 0x4A69DB9873AF8965ULL,
+      0xCD0FEDA93006C6B6ULL, 0x52480865A4B42742ULL, 0xB60DEC3BF2D887CDULL,
+      0xE0B55A68B96677FAULL};
+  for (const std::uint64_t want : raw) EXPECT_EQ(rng.next_u64(), want);
+  const double doubles[] = {0x1.3bc82b3db539dp-1, 0x1.b3e966a9d8708p-1,
+                            0x1.6a42be87da863p-1, 0x1.6a68997c843e9p-1,
+                            0x1.7c5ad539dbb98p-4, 0x1.6ea382d55d2ecp-3,
+                            0x1.beaa412a5314ap-2, 0x1.343b44a8b102ep-1};
+  for (const double want : doubles) EXPECT_EQ(rng.next_double(), want);
+  const bool chances[] = {false, false, false, false,
+                          false, true,  false, false};
+  for (const bool want : chances) EXPECT_EQ(rng.chance(0.3), want);
+  const std::uint64_t below[] = {4, 1, 5, 3, 6, 6, 3, 4};
+  for (const std::uint64_t want : below) EXPECT_EQ(rng.next_below(7), want);
+  EXPECT_EQ(rng.next_u64(), 0x896C10E1F50E7C45ULL);
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
   Rng a(1);
   Rng b(2);
