@@ -245,6 +245,33 @@ class ObsScope {
   std::optional<obs::Session> session_;
 };
 
+/// One sampler tick.  Each firing schedules a copy of itself, so the
+/// pending queue entry is the tick's only owner and the chain ends with
+/// the engine that holds it.
+struct SamplerTick {
+  sim::Engine* engine;
+  obs::Sampler* sampler;
+  std::shared_ptr<std::uint64_t> executed;
+  double interval;
+  bool progress;
+  std::uint64_t expected;
+  std::function<std::uint64_t()> completed;
+
+  void operator()() const {
+    ++*executed;
+    const SimTime now = engine->now();
+    sampler->sample(now);
+    if (progress) {
+      // Straight to stderr: the default log level hides log::info, and a
+      // heartbeat the user asked for must not be silenced.
+      std::fprintf(stderr,
+                   "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64 "\n",
+                   now, completed(), expected);
+    }
+    engine->schedule_milestone_at(now + interval, *this);
+  }
+};
+
 /// Schedules the self-rescheduling sampler tick on `engine` at
 /// `interval, 2*interval, ...` and returns the count of executed ticks.
 /// Each tick is one extra engine event, so the caller subtracts the
@@ -259,25 +286,12 @@ std::shared_ptr<std::uint64_t> schedule_sampler_ticks(
     bool progress, std::uint64_t expected,
     std::function<std::uint64_t()> completed) {
   auto executed = std::make_shared<std::uint64_t>(0);
-  // Self-rescheduling via an owning shared_ptr, the schedule_periodic
-  // idiom (periodic chains themselves are not used: their queue entries
-  // would not be milestones).
-  auto tick = std::make_shared<sim::EventFn>();
-  *tick = [&engine, &sampler, executed, interval, progress, expected,
-           completed = std::move(completed), tick]() {
-    ++*executed;
-    const SimTime now = engine.now();
-    sampler.sample(now);
-    if (progress) {
-      // Straight to stderr: the default log level hides log::info, and a
-      // heartbeat the user asked for must not be silenced.
-      std::fprintf(stderr,
-                   "[gridlb] t=%.1fs  completed %" PRIu64 "/%" PRIu64 "\n",
-                   now, completed(), expected);
-    }
-    engine.schedule_milestone_at(now + interval, *tick);
-  };
-  engine.schedule_milestone_at(interval, *tick);
+  // Periodic chains are not used: their queue entries would not be
+  // milestones.
+  engine.schedule_milestone_at(
+      interval,
+      SamplerTick{&engine, &sampler, executed, interval, progress, expected,
+                  std::move(completed)});
   return executed;
 }
 

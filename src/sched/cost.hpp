@@ -17,7 +17,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "sched/schedule_builder.hpp"
 
@@ -38,8 +37,9 @@ struct CostWeights {
                                 const CostWeights& weights);
 
 /// Dynamic scaling of a population's costs to fitness values in [0, 1]
-/// (higher is better).  A degenerate population (all costs equal) gets
-/// uniform fitness 1 so selection becomes unbiased rather than undefined.
-[[nodiscard]] std::vector<double> fitness_values(std::span<const double> costs);
+/// (higher is better), written into `fitness` (same size as `costs`).  A
+/// degenerate population (all costs equal) gets uniform fitness 1 so
+/// selection becomes unbiased rather than undefined.
+void fitness_values(std::span<const double> costs, std::span<double> fitness);
 
 }  // namespace gridlb::sched

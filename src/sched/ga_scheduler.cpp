@@ -30,8 +30,8 @@ const GenotypeMemo::Entry* GenotypeMemo::find(
   }
 }
 
-void GenotypeMemo::insert(const SolutionString::Fingerprint& fp, double cost,
-                          const ScheduleMetrics& metrics) {
+void GenotypeMemo::insert(const SolutionString::Fingerprint& fp,
+                          double cost) {
   GRIDLB_REQUIRE(!entries_.empty(), "memo used before begin_run");
   if ((live_ + 1) * 2 > entries_.size()) grow();
   const std::size_t mask = entries_.size() - 1;
@@ -39,7 +39,7 @@ void GenotypeMemo::insert(const SolutionString::Fingerprint& fp, double cost,
        i = (i + 1) & mask) {
     Entry& entry = entries_[i];
     if (entry.epoch != epoch_) {
-      entry = Entry{fp, cost, metrics, epoch_};
+      entry = Entry{fp, cost, epoch_};
       ++live_;
       return;
     }
@@ -117,41 +117,41 @@ void GaScheduler::sync_population(std::span<const Task> tasks) {
   for (const Task& task : tasks) known_tasks_.push_back(task.id);
 }
 
-std::vector<int> GaScheduler::select_parents(std::span<const double> fitness) {
+void GaScheduler::select_parents(std::span<const double> fitness) {
   const int n = static_cast<int>(fitness.size());
   const double total = std::accumulate(fitness.begin(), fitness.end(), 0.0);
-  std::vector<int> pool;
-  pool.reserve(static_cast<std::size_t>(n));
+  parents_.clear();
   if (total <= 0.0) {
     // All-zero fitness (cannot happen with dynamic scaling, but guard):
     // uniform pool.
-    for (int k = 0; k < n; ++k) pool.push_back(k);
-    return pool;
+    for (int k = 0; k < n; ++k) parents_.push_back(k);
+    return;
   }
-  std::vector<double> fraction(static_cast<std::size_t>(n));
+  fraction_.resize(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
     const double expected =
         fitness[static_cast<std::size_t>(k)] * static_cast<double>(n) / total;
     const double floor_part = std::floor(expected);
-    for (int c = 0; c < static_cast<int>(floor_part); ++c) pool.push_back(k);
-    fraction[static_cast<std::size_t>(k)] = expected - floor_part;
+    for (int c = 0; c < static_cast<int>(floor_part); ++c) {
+      parents_.push_back(k);
+    }
+    fraction_[static_cast<std::size_t>(k)] = expected - floor_part;
   }
   // Fill the remainder with Bernoulli draws on the fractional parts.
-  while (static_cast<int>(pool.size()) < n) {
-    for (int k = 0; k < n && static_cast<int>(pool.size()) < n; ++k) {
-      if (rng_.chance(fraction[static_cast<std::size_t>(k)])) {
-        pool.push_back(k);
+  while (static_cast<int>(parents_.size()) < n) {
+    for (int k = 0; k < n && static_cast<int>(parents_.size()) < n; ++k) {
+      if (rng_.chance(fraction_[static_cast<std::size_t>(k)])) {
+        parents_.push_back(k);
       }
     }
     // Degenerate fractional mass (all ~0): top up uniformly.
-    if (std::accumulate(fraction.begin(), fraction.end(), 0.0) < 1e-12) {
-      while (static_cast<int>(pool.size()) < n) {
-        pool.push_back(static_cast<int>(
+    if (std::accumulate(fraction_.begin(), fraction_.end(), 0.0) < 1e-12) {
+      while (static_cast<int>(parents_.size()) < n) {
+        parents_.push_back(static_cast<int>(
             rng_.next_below(static_cast<std::uint64_t>(n))));
       }
     }
   }
-  return pool;
 }
 
 SolutionString GaScheduler::greedy_seed(std::span<const Task> tasks,
@@ -286,7 +286,18 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
 
   const int n = config_.population_size;
   costs_.assign(static_cast<std::size_t>(n), 0.0);
-  metrics_.assign(static_cast<std::size_t>(n), ScheduleMetrics{});
+  fitness_.resize(static_cast<std::size_t>(n));
+  next_.resize(static_cast<std::size_t>(n));
+  // Sized on the first run, so no generation grows them (and a scheduler
+  // that never runs allocates none of them).
+  eval_list_.reserve(static_cast<std::size_t>(n));
+  fanout_.reserve(static_cast<std::size_t>(n));
+  parents_.reserve(static_cast<std::size_t>(n));
+  if (eval_slots_.empty()) {
+    std::size_t slots = 16;
+    while (slots < static_cast<std::size_t>(n) * 2) slots <<= 1;
+    eval_slots_.resize(slots);
+  }
   memo_.begin_run(static_cast<std::size_t>(n) *
                   static_cast<std::size_t>(config_.generations));
 
@@ -298,9 +309,9 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
     for (int i = begin; i < end; ++i) {
       const auto k = static_cast<std::size_t>(
           eval_list_[static_cast<std::size_t>(i)].index);
-      metrics_[k] =
-          builder_->evaluate_from(context_, population_[k], scratch, 0);
-      costs_[k] = cost_value(metrics_[k], config_.weights);
+      costs_[k] = cost_value(
+          builder_->evaluate_from(context_, population_[k], scratch, 0),
+          config_.weights);
     }
   };
 
@@ -314,34 +325,39 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
     // eval list and the same counters.
     eval_list_.clear();
     fanout_.clear();
+    std::fill(eval_slots_.begin(), eval_slots_.end(), -1);
+    const std::size_t slot_mask = eval_slots_.size() - 1;
     for (int k = 0; k < n; ++k) {
       const SolutionString::Fingerprint fp =
           population_[static_cast<std::size_t>(k)].fingerprint();
       if (const GenotypeMemo::Entry* hit = memo_.find(fp)) {
         costs_[static_cast<std::size_t>(k)] = hit->cost;
-        metrics_[static_cast<std::size_t>(k)] = hit->metrics;
         ++result.memo_hits;
         continue;
       }
-      int rep = -1;
-      for (const EvalItem& item : eval_list_) {
-        if (item.fp == fp) {
-          rep = item.index;
+      // The first occurrence of a genotype is its representative; later
+      // copies find it through the probe and fan out from it.
+      for (std::size_t slot = static_cast<std::size_t>(fp.lo) & slot_mask;;
+           slot = (slot + 1) & slot_mask) {
+        int& item = eval_slots_[slot];
+        if (item < 0) {
+          item = static_cast<int>(eval_list_.size());
+          eval_list_.push_back(EvalItem{fp, k});
           break;
         }
-      }
-      if (rep >= 0) {
-        fanout_.push_back(Fanout{k, rep});
-      } else {
-        eval_list_.push_back(EvalItem{fp, k});
+        const EvalItem& rep = eval_list_[static_cast<std::size_t>(item)];
+        if (rep.fp == fp) {
+          fanout_.push_back(Fanout{k, rep.index});
+          break;
+        }
       }
     }
 
     // Evaluate.  Only this phase runs on the pool: each individual's
-    // metrics and cost are pure functions of its genome and the prepared
-    // context, so the contents of `metrics_` and `costs_` do not depend
-    // on the interleaving.  Selection, crossover and mutation below stay
-    // on this thread and consume `rng_` in the serial order.
+    // cost is a pure function of its genome and the prepared context, so
+    // the contents of `costs_` do not depend on the interleaving.
+    // Selection, crossover and mutation below stay on this thread and
+    // consume `rng_` in the serial order.
     const int num_items = static_cast<int>(eval_list_.size());
     if (pool_ && num_items > 1) {
       pool_->parallel_for(num_items, evaluate_items);
@@ -353,14 +369,11 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
     // Publish results: new genotypes enter the memo (main thread, index
     // order) and duplicates copy their representative's result.
     for (const EvalItem& item : eval_list_) {
-      memo_.insert(item.fp, costs_[static_cast<std::size_t>(item.index)],
-                   metrics_[static_cast<std::size_t>(item.index)]);
+      memo_.insert(item.fp, costs_[static_cast<std::size_t>(item.index)]);
     }
     for (const Fanout& dup : fanout_) {
       costs_[static_cast<std::size_t>(dup.index)] =
           costs_[static_cast<std::size_t>(dup.rep)];
-      metrics_[static_cast<std::size_t>(dup.index)] =
-          metrics_[static_cast<std::size_t>(dup.rep)];
       ++result.memo_hits;
     }
 
@@ -381,44 +394,40 @@ GaResult GaScheduler::optimize(std::span<const Task> tasks,
     ++result.generations_run;
     if (generation + 1 == config_.generations) break;
 
-    // Breed the next generation.
-    const std::vector<double> fitness = fitness_values(costs_);
-    const std::vector<int> pool = select_parents(fitness);
-
-    std::vector<SolutionString> next;
-    next.reserve(static_cast<std::size_t>(n));
+    // Breed the next generation into `next_`, reusing its storage.
+    fitness_values(costs_, fitness_);
+    select_parents(fitness_);
     if (config_.elite > 0) {
       // Elites: the `elite` lowest-cost individuals, unchanged.
-      std::vector<int> by_cost(static_cast<std::size_t>(n));
-      std::iota(by_cost.begin(), by_cost.end(), 0);
-      std::partial_sort(by_cost.begin(),
-                        by_cost.begin() + config_.elite, by_cost.end(),
-                        [this](int a, int b) {
+      by_cost_.resize(static_cast<std::size_t>(n));
+      std::iota(by_cost_.begin(), by_cost_.end(), 0);
+      std::partial_sort(by_cost_.begin(), by_cost_.begin() + config_.elite,
+                        by_cost_.end(), [this](int a, int b) {
                           return costs_[static_cast<std::size_t>(a)] <
                                  costs_[static_cast<std::size_t>(b)];
                         });
       for (int e = 0; e < config_.elite; ++e) {
-        const int src = by_cost[static_cast<std::size_t>(e)];
-        next.push_back(population_[static_cast<std::size_t>(src)]);
+        const int src = by_cost_[static_cast<std::size_t>(e)];
+        next_[static_cast<std::size_t>(e)] =
+            population_[static_cast<std::size_t>(src)];
       }
     }
-    while (static_cast<int>(next.size()) < n) {
-      const int a = pool[static_cast<std::size_t>(
-          rng_.next_below(pool.size()))];
-      const int b = pool[static_cast<std::size_t>(
-          rng_.next_below(pool.size()))];
-      SolutionString child;
+    for (int c = config_.elite; c < n; ++c) {
+      const int a = parents_[static_cast<std::size_t>(
+          rng_.next_below(parents_.size()))];
+      const int b = parents_[static_cast<std::size_t>(
+          rng_.next_below(parents_.size()))];
+      SolutionString& child = next_[static_cast<std::size_t>(c)];
       if (rng_.chance(config_.crossover_rate)) {
-        child = population_[static_cast<std::size_t>(a)].crossover(
-            population_[static_cast<std::size_t>(b)], rng_);
+        population_[static_cast<std::size_t>(a)].crossover_into(
+            population_[static_cast<std::size_t>(b)], child, used_, rng_);
       } else {
         child = population_[static_cast<std::size_t>(a)];
       }
       child.mutate(config_.order_swap_rate, config_.bit_flip_rate, rng_);
       if (constrained) child.constrain(available, rng_);
-      next.push_back(std::move(child));
     }
-    population_ = std::move(next);
+    population_.swap(next_);
   }
 
   // The one full decode of the run: placements for the winner only.

@@ -27,16 +27,16 @@ namespace gridlb::sched {
 /// Crossover under elitism routinely re-creates genotypes already costed
 /// this run; the memo lets them skip re-evaluation.  Flat open-addressed
 /// table keyed by SolutionString::Fingerprint — entries hold only the
-/// fingerprint, cost and metrics (no genome copy), so lookups and inserts
-/// are allocation-free.  A run boundary is an O(1) epoch bump: entries
-/// from earlier runs read as empty, because their metrics were computed
-/// against a different clock/queue state.  Main-thread only.
+/// fingerprint and cost (no genome copy, no metrics: nothing downstream of
+/// the cost reads them), so lookups and inserts are allocation-free.  A
+/// run boundary is an O(1) epoch bump: entries from earlier runs read as
+/// empty, because their costs were computed against a different
+/// clock/queue state.  Main-thread only.
 class GenotypeMemo {
  public:
   struct Entry {
     SolutionString::Fingerprint fp;
     double cost = 0.0;
-    ScheduleMetrics metrics;
     std::uint64_t epoch = 0;  ///< 0 = slot never written
   };
 
@@ -49,8 +49,7 @@ class GenotypeMemo {
   [[nodiscard]] const Entry* find(
       const SolutionString::Fingerprint& fp) const;
 
-  void insert(const SolutionString::Fingerprint& fp, double cost,
-              const ScheduleMetrics& metrics);
+  void insert(const SolutionString::Fingerprint& fp, double cost);
 
   [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
   [[nodiscard]] std::size_t live() const { return live_; }
@@ -182,11 +181,10 @@ class GaScheduler {
                                            bool deadline_order,
                                            bool efficient);
 
-  /// Stochastic remainder selection: expected copies e_k = f_v,k·N/Σf_v;
-  /// ⌊e_k⌋ copies deterministically, then Bernoulli draws on the
-  /// fractional parts until the pool holds N parents.
-  [[nodiscard]] std::vector<int> select_parents(
-      std::span<const double> fitness);
+  /// Stochastic remainder selection into `parents_`: expected copies
+  /// e_k = f_v,k·N/Σf_v; ⌊e_k⌋ copies deterministically, then Bernoulli
+  /// draws on the fractional parts until the pool holds N parents.
+  void select_parents(std::span<const double> fitness);
 
   ScheduleBuilder* builder_;
   GaConfig config_;
@@ -217,9 +215,23 @@ class GaScheduler {
   std::vector<DecodeScratch> scratches_;  ///< one per evaluate-phase slot
   GenotypeMemo memo_;
   std::vector<double> costs_;
-  std::vector<ScheduleMetrics> metrics_;
   std::vector<EvalItem> eval_list_;
   std::vector<Fanout> fanout_;
+  /// Open-addressed index over `eval_list_` keyed by fingerprint (-1 =
+  /// empty): the within-generation duplicate probe.  Power-of-two size at
+  /// least twice the population, so a probe chain always ends.
+  std::vector<int> eval_slots_;
+
+  // Breeding buffers: the next generation is bred into `next_`, whose
+  // individuals keep their vectors' capacity, and then swapped with
+  // `population_`.  With the scratch below, a generation allocates
+  // nothing once the buffers have grown to the task count.
+  std::vector<SolutionString> next_;
+  std::vector<double> fitness_;
+  std::vector<int> parents_;         ///< selected parent pool
+  std::vector<double> fraction_;     ///< fractional expected copies
+  std::vector<int> by_cost_;         ///< elite ranking
+  std::vector<unsigned char> used_;  ///< crossover_into's splice mask
 };
 
 }  // namespace gridlb::sched

@@ -73,35 +73,51 @@ void SolutionString::constrain(NodeMask allowed, Rng& rng) {
         if (pick-- == 0) mask = NodeMask{1} << node;
       });
     }
+    // The ordering part is untouched, so the masks are all there is to
+    // check; unlike valid(), this allocates nothing (it runs per bred
+    // child on a constrained resource).
+    GRIDLB_ASSERT(valid_mask(mask, node_count_));
   }
-  GRIDLB_ASSERT(valid());
 }
 
 SolutionString SolutionString::crossover(const SolutionString& mate,
                                          Rng& rng) const {
+  SolutionString child;
+  std::vector<unsigned char> used;
+  crossover_into(mate, child, used, rng);
+  return child;
+}
+
+void SolutionString::crossover_into(const SolutionString& mate,
+                                    SolutionString& child,
+                                    std::vector<unsigned char>& used,
+                                    Rng& rng) const {
   GRIDLB_REQUIRE(task_count() == mate.task_count() &&
                      node_count_ == mate.node_count_,
                  "crossover parents must agree on task and node counts");
+  GRIDLB_REQUIRE(&child != this && &child != &mate,
+                 "crossover child must not alias a parent");
   const int m = task_count();
-  SolutionString child;
   child.node_count_ = node_count_;
-  if (m == 0) return child;
+  child.order_.clear();
+  child.mapping_.resize(static_cast<std::size_t>(m));
+  if (m == 0) return;
 
   // --- ordering part: splice at a random cut, complete in mate order.
   const auto cut =
       static_cast<std::size_t>(rng.next_below(static_cast<std::uint64_t>(m) + 1));
   child.order_.assign(order_.begin(),
                       order_.begin() + static_cast<std::ptrdiff_t>(cut));
-  std::vector<bool> used(static_cast<std::size_t>(m), false);
-  for (const int t : child.order_) used[static_cast<std::size_t>(t)] = true;
+  used.assign(static_cast<std::size_t>(m), 0);
+  for (const int t : child.order_) used[static_cast<std::size_t>(t)] = 1;
   for (const int t : mate.order_) {
-    if (!used[static_cast<std::size_t>(t)]) child.order_.push_back(t);
+    if (used[static_cast<std::size_t>(t)] == 0) child.order_.push_back(t);
   }
 
   // --- mapping part: single-point binary crossover over the child-order-
   // aligned concatenation of per-task bit strings.  Bits strictly before
-  // the cut come from this parent, the rest from the mate.
-  child.mapping_.resize(static_cast<std::size_t>(m));
+  // the cut come from this parent, the rest from the mate.  Every task's
+  // mask is written below, so the child's old contents never leak through.
   const int bits_per_task = node_count_;
   const std::uint64_t total_bits =
       static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(bits_per_task);
@@ -125,13 +141,15 @@ SolutionString SolutionString::crossover(const SolutionString& mate,
     child.mapping_[static_cast<std::size_t>(t)] = mask;
     child.repair_mask(t, rng);
   }
-  return child;
 }
 
 int SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
-                           Rng& rng) {
+                           Rng& stream) {
   const int m = task_count();
   if (m == 0) return 0;
+  // Draw from a local copy so the generator state stays in registers
+  // across the per-bit loop; it is written back below.
+  Rng rng = stream;
   int span = m;
   // Ordering part: a random transposition ("switching operator").
   if (m >= 2 && rng.chance(order_swap_rate)) {
@@ -161,6 +179,7 @@ int SolutionString::mutate(double order_swap_rate, double bit_flip_rate,
       span = static_cast<int>(std::find(first, first + span, t) - first);
     }
   }
+  stream = rng;
   return span;
 }
 

@@ -66,6 +66,14 @@ class SolutionString {
   [[nodiscard]] SolutionString crossover(const SolutionString& mate,
                                          Rng& rng) const;
 
+  /// The same crossover, written into `child` (neither parent) so its
+  /// vectors' capacity is reused; `used` is caller-owned scratch for the
+  /// ordering splice.  Draws exactly what `crossover` draws, in the same
+  /// order, and allocates nothing once `child` and `used` have grown to
+  /// the task count.
+  void crossover_into(const SolutionString& mate, SolutionString& child,
+                      std::vector<unsigned char>& used, Rng& rng) const;
+
   /// Two-part mutation: a random transposition in the ordering part, and
   /// independent bit-flips (probability `bit_flip_rate`) in the mapping
   /// part, with empty-allocation repair.  Returns the first schedule

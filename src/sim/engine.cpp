@@ -101,25 +101,33 @@ std::uint64_t Engine::count_milestones_below(SimTime bound,
 EventId Engine::schedule_periodic(SimTime start, SimTime period, EventFn fn) {
   GRIDLB_REQUIRE(period > 0.0, "period must be positive");
   // The chain id lives in its own id space and is never placed on the
-  // queue; the recurring lambda consults cancelled_chains_ before each
+  // queue; the recurring tick consults cancelled_chains_ before each
   // firing.
   const EventId chain_id = kChainBit | next_chain_++;
-  // Owning the callback via shared_ptr lets the lambda reschedule itself.
-  auto shared_fn = std::make_shared<EventFn>(std::move(fn));
-  auto tick = std::make_shared<EventFn>();
-  *tick = [this, chain_id, period, shared_fn, tick]() {
-    if (cancelled_chains_.contains(chain_id)) {
-      cancelled_chains_.erase(chain_id);
-      return;
+  // Each firing schedules a copy of the tick, so the pending queue entry
+  // is the chain's only owner: a chain that stops, or an engine destroyed
+  // with the tick still queued, frees the callback.
+  struct Tick {
+    Engine* engine;
+    EventId chain_id;
+    SimTime period;
+    std::shared_ptr<EventFn> fn;
+    void operator()() const {
+      auto& cancelled = engine->cancelled_chains_;
+      if (cancelled.contains(chain_id)) {
+        cancelled.erase(chain_id);
+        return;
+      }
+      (*fn)();
+      if (cancelled.contains(chain_id)) {
+        cancelled.erase(chain_id);
+        return;
+      }
+      engine->schedule_at(engine->now_ + period, *this);
     }
-    (*shared_fn)();
-    if (cancelled_chains_.contains(chain_id)) {
-      cancelled_chains_.erase(chain_id);
-      return;
-    }
-    schedule_at(now_ + period, *tick);
   };
-  schedule_at(start, *tick);
+  schedule_at(start, Tick{this, chain_id, period,
+                          std::make_shared<EventFn>(std::move(fn))});
   return chain_id;
 }
 
@@ -163,7 +171,21 @@ bool Engine::step() {
   simclock::publish_shard(
       shared_ != nullptr ? static_cast<std::uint16_t>(shard_index_ + 1) : 0);
   ++events_processed_;
-  Engine* const previous = tls_current_engine;
+  // Leaves the event's context on every exit, a throwing callback's
+  // included: otherwise Engine::current() would keep pointing at this
+  // engine after it is gone.
+  struct EventScope {
+    Engine& engine;
+    Engine* const previous = tls_current_engine;
+    ~EventScope() {
+      if (engine.shared_ != nullptr) {
+        engine.executing_ = false;
+        engine.exec_parent_.reset();
+        engine.exec_record_.reset();
+      }
+      tls_current_engine = previous;
+    }
+  } scope{*this};
   tls_current_engine = this;
   if (shared_ != nullptr) {
     executing_ = true;
@@ -174,12 +196,6 @@ bool Engine::step() {
     child_counter_ = 0;
   }
   entry.fn();
-  if (shared_ != nullptr) {
-    executing_ = false;
-    exec_parent_.reset();
-    exec_record_.reset();
-  }
-  tls_current_engine = previous;
   return true;
 }
 

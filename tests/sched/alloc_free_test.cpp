@@ -7,6 +7,9 @@
 // test binary, but unarmed it is behaviourally identical to the default
 // (malloc-backed) allocator, so the other suites are unaffected; it also
 // composes with ASan/TSan, which interpose at the malloc layer below.
+// Every allocating form is replaced, the std::nothrow_t ones included
+// (std::stable_sort's buffer comes from nothrow new), so no block is ever
+// made by one allocator and freed by another.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +49,28 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, static_cast<std::size_t>(align));
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return operator new(size, align, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -56,6 +81,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -127,6 +163,48 @@ TEST(AllocFree, MutateReportsItsSpanWithoutAllocating) {
 
   EXPECT_EQ(g_allocations, 0u);
   EXPECT_LT(spans, 64L * 40);  // some mutation changed something
+}
+
+// Counts the allocations of one warm optimize call (a second call on the
+// same task set, after a first call has grown every buffer) with the
+// nodes in `available` usable.
+std::uint64_t warm_optimize_allocations(int generations, NodeMask available) {
+  pace::EvaluationEngine engine;
+  pace::CachedEvaluator evaluator(engine);
+  const auto sgi = pace::ResourceModel::of(pace::HardwareType::kSgiOrigin2000);
+  const int nodes = 16;
+  ScheduleBuilder builder(evaluator, sgi, nodes);
+  const auto catalogue = pace::paper_catalogue();
+
+  Rng rng(17);
+  const auto tasks = random_tasks(catalogue, 12, rng);
+  const std::vector<SimTime> free(static_cast<std::size_t>(nodes), 0.0);
+
+  GaConfig config;
+  config.generations = generations;
+  GaScheduler ga(builder, config, 23);
+  (void)ga.optimize(tasks, free, 0.0, available);
+
+  g_allocations = 0;
+  g_counting = true;
+  const GaResult result = ga.optimize(tasks, free, 0.0, available);
+  g_counting = false;
+  EXPECT_EQ(result.generations_run, generations);
+  return g_allocations;
+}
+
+TEST(AllocFree, WarmOptimizeBreedsWithoutAllocating) {
+  // Whatever one call allocates (re-prepare, task-set sync, greedy seeds,
+  // the result), it allocates once per call: 20 more generations of
+  // selection, crossover, mutation and triage add no allocation, also
+  // when a down node makes every bred child go through constrain.
+  const NodeMask all = full_mask(16);
+  for (const NodeMask available : {all, all & ~NodeMask{1}}) {
+    const std::uint64_t short_run = warm_optimize_allocations(5, available);
+    const std::uint64_t long_run = warm_optimize_allocations(25, available);
+    EXPECT_EQ(short_run, long_run) << "available " << available;
+    EXPECT_GT(short_run, 0u);  // the counter is live inside optimize
+  }
 }
 
 TEST(AllocFree, RepreparingSameShapeContextDoesNotAllocate) {

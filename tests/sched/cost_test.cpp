@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/assert.hpp"
 
 namespace gridlb::sched {
@@ -55,9 +57,15 @@ TEST(CostValue, RejectsNegativeOrAllZeroWeights) {
                AssertionError);
 }
 
+std::vector<double> scaled(const std::vector<double>& costs) {
+  std::vector<double> fitness(costs.size(), -1.0);
+  fitness_values(costs, fitness);
+  return fitness;
+}
+
 TEST(Fitness, MapsBestToOneWorstToZero) {
   const std::vector<double> costs = {5.0, 1.0, 9.0};
-  const auto fitness = fitness_values(costs);
+  const auto fitness = scaled(costs);
   EXPECT_DOUBLE_EQ(fitness[1], 1.0);  // best (lowest cost)
   EXPECT_DOUBLE_EQ(fitness[2], 0.0);  // worst
   EXPECT_DOUBLE_EQ(fitness[0], 0.5);
@@ -65,16 +73,16 @@ TEST(Fitness, MapsBestToOneWorstToZero) {
 
 TEST(Fitness, DegeneratePopulationIsUniform) {
   const std::vector<double> costs = {4.0, 4.0, 4.0};
-  const auto fitness = fitness_values(costs);
+  const auto fitness = scaled(costs);
   for (const double f : fitness) EXPECT_DOUBLE_EQ(f, 1.0);
 }
 
 TEST(Fitness, EmptyInput) {
-  EXPECT_TRUE(fitness_values(std::vector<double>{}).empty());
+  EXPECT_TRUE(scaled(std::vector<double>{}).empty());
 }
 
 TEST(Fitness, SingleIndividual) {
-  const auto fitness = fitness_values(std::vector<double>{3.0});
+  const auto fitness = scaled(std::vector<double>{3.0});
   ASSERT_EQ(fitness.size(), 1u);
   EXPECT_DOUBLE_EQ(fitness[0], 1.0);
 }
@@ -82,7 +90,7 @@ TEST(Fitness, SingleIndividual) {
 TEST(Fitness, OrderPreserving) {
   // Lower cost must never map to lower fitness.
   const std::vector<double> costs = {3.0, 1.0, 2.0, 5.0, 4.0};
-  const auto fitness = fitness_values(costs);
+  const auto fitness = scaled(costs);
   for (std::size_t i = 0; i < costs.size(); ++i) {
     for (std::size_t j = 0; j < costs.size(); ++j) {
       if (costs[i] < costs[j]) {
@@ -92,9 +100,15 @@ TEST(Fitness, OrderPreserving) {
   }
 }
 
+TEST(Fitness, RejectsMismatchedOutput) {
+  const std::vector<double> costs = {1.0, 2.0};
+  std::vector<double> fitness(1);
+  EXPECT_THROW(fitness_values(costs, fitness), AssertionError);
+}
+
 TEST(Fitness, InRange) {
   const std::vector<double> costs = {10.5, -3.0, 0.0, 7.7};
-  for (const double f : fitness_values(costs)) {
+  for (const double f : scaled(costs)) {
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
   }

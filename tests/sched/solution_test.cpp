@@ -135,6 +135,34 @@ TEST(Crossover, EmptyTaskSet) {
   EXPECT_EQ(child.task_count(), 0);
 }
 
+TEST(Crossover, IntoDirtyChildMatchesCrossover) {
+  // crossover_into must overwrite whatever the reused child and mask held
+  // and consume the stream exactly as crossover does; three nodes make
+  // empty-mask repairs (extra draws) frequent.
+  Rng setup(8);
+  SolutionString child = SolutionString::random(40, 16, setup);
+  std::vector<unsigned char> used(64, 1);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int tasks = trial % 13;
+    const auto a = SolutionString::random(tasks, 3, setup);
+    const auto b = SolutionString::random(tasks, 3, setup);
+    Rng fresh(1000 + static_cast<std::uint64_t>(trial));
+    Rng reused = fresh;
+    const SolutionString want = a.crossover(b, fresh);
+    a.crossover_into(b, child, used, reused);
+    ASSERT_EQ(child, want) << "trial " << trial;
+    ASSERT_EQ(reused.next_u64(), fresh.next_u64()) << "trial " << trial;
+  }
+}
+
+TEST(Crossover, IntoRejectsAliasedChild) {
+  Rng rng(9);
+  auto a = SolutionString::random(4, 4, rng);
+  const auto b = SolutionString::random(4, 4, rng);
+  std::vector<unsigned char> used;
+  EXPECT_THROW(a.crossover_into(b, a, used, rng), AssertionError);
+}
+
 TEST(Crossover, MismatchedParentsRejected) {
   Rng rng(6);
   const auto a = SolutionString::random(3, 4, rng);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -162,6 +164,51 @@ TEST(Engine, PeriodicCancelFromInsideCallback) {
   });
   engine.run_until(100.0);
   EXPECT_EQ(count, 3);
+}
+
+TEST(Engine, PeriodicChainDoesNotOwnItself) {
+  // The callback lives exactly as long as the chain's pending tick: a
+  // stopped chain, or an engine destroyed with a tick queued, frees it.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> alive = token;
+  {
+    Engine engine;
+    engine.schedule_periodic(0.0, 10.0, [token]() { ++*token; });
+    token.reset();
+    engine.run_until(25.0);
+    EXPECT_EQ(*alive.lock(), 3);  // t = 0, 10, 20
+  }
+  EXPECT_TRUE(alive.expired());
+
+  token = std::make_shared<int>(0);
+  const std::weak_ptr<int> cancelled = token;
+  Engine engine;
+  const EventId chain =
+      engine.schedule_periodic(0.0, 1.0, [token]() { ++*token; });
+  token.reset();
+  engine.run_until(2.5);
+  engine.cancel(chain);
+  engine.run_until(10.0);  // the next tick sees the cancel and ends
+  EXPECT_TRUE(cancelled.expired());
+}
+
+TEST(Engine, ThrowingEventRestoresCurrentEngine) {
+  Engine outer;
+  Engine inner;
+  inner.schedule_at(1.0, []() { throw std::runtime_error("event failed"); });
+  Engine* inside = nullptr;
+  outer.schedule_at(1.0, [&]() {
+    EXPECT_THROW(inner.step(), std::runtime_error);
+    inside = Engine::current();
+  });
+  EXPECT_EQ(Engine::current(), nullptr);
+  outer.step();
+  EXPECT_EQ(inside, &outer);  // the nested throw left the outer context
+  EXPECT_EQ(Engine::current(), nullptr);
+
+  inner.schedule_at(2.0, []() { throw std::runtime_error("event failed"); });
+  EXPECT_THROW(inner.step(), std::runtime_error);
+  EXPECT_EQ(Engine::current(), nullptr);
 }
 
 TEST(Engine, PeriodicRejectsNonPositivePeriod) {

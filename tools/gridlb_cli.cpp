@@ -545,6 +545,7 @@ Flags make_flags() {
   flags.declare("app", "name", "paper application (predict)");
   flags.declare("model", "file", "PACE model file (predict)");
   flags.declare("hardware", "type", "platform name (predict)");
+  flags.declare("help", "", "print this usage and exit");
   return flags;
 }
 
@@ -552,10 +553,10 @@ Flags make_flags() {
 
 int main(int argc, char** argv) {
   Flags flags = make_flags();
+  const std::string usage =
+      flags.usage("gridlb <table1|predict|experiment|campaign>");
   if (argc < 2) {
-    std::fprintf(stderr, "%s",
-                 flags.usage("gridlb <table1|predict|experiment|campaign>")
-                     .c_str());
+    std::fprintf(stderr, "%s", usage.c_str());
     return 1;
   }
   std::string command = argv[1];
@@ -568,6 +569,10 @@ int main(int argc, char** argv) {
   }
   try {
     flags.parse(argc - flag_start, argv + flag_start);
+    if (flags.has("help")) {
+      std::printf("%s", usage.c_str());
+      return 0;
+    }
     if (command == "table1") return cmd_table1();
     if (command == "predict") return cmd_predict(flags);
     if (command == "experiment") return cmd_experiment(flags);
